@@ -14,19 +14,35 @@ or repeated session only simulates what is missing.
 
 from __future__ import annotations
 
+import hashlib
 import os
 import pathlib
 import pickle
 
 import pytest
 
+import repro
 from repro.harness import cache
 from repro.harness.fidelity import BENCH
 from repro.harness.figures import EvaluationGrid, evaluation_grid
 from repro.workloads.microservices import standard_microservices
 
 OUTPUT_DIR = pathlib.Path(__file__).parent / "output"
-_GRID_CACHE = OUTPUT_DIR / f"grid-{BENCH.name}-{BENCH.seed}.pkl"
+
+
+def _source_digest() -> str:
+    """SHA-256 over the simulator's sources (``kernel.c`` included) and
+    the cache schema: any change makes a saved grid stale."""
+    root = pathlib.Path(repro.__file__).parent
+    digest = hashlib.sha256(f"schema={cache.SCHEMA_VERSION}".encode())
+    for path in sorted(root.rglob("*")):
+        if path.suffix in (".py", ".c"):
+            digest.update(str(path.relative_to(root)).encode())
+            digest.update(path.read_bytes())
+    return digest.hexdigest()[:16]
+
+
+_GRID_CACHE = OUTPUT_DIR / f"grid-{BENCH.name}-{BENCH.seed}-{_source_digest()}.pkl"
 
 
 def _bench_workers() -> int:
@@ -47,14 +63,18 @@ def bench_cache() -> None:
 def grid(bench_cache) -> EvaluationGrid:
     """The full design x workload x load evaluation matrix.
 
-    Cached on disk (the simulations behind it take many minutes); delete
-    ``benchmarks/output/grid-*.pkl`` to force a re-simulation (the
-    persistent result cache under ``benchmarks/output/cache`` then makes
-    that re-simulation cheap).
+    Saved to ``benchmarks/output/grid-*.pkl`` (not committed), keyed on
+    the sources and the cache schema; an unreadable or stale file is a
+    miss.  A re-simulation then reads what it can from the persistent
+    result cache under ``benchmarks/output/cache``.
     """
-    if _GRID_CACHE.exists():
+    try:
         with _GRID_CACHE.open("rb") as fh:
-            return pickle.load(fh)
+            saved = pickle.load(fh)
+        if isinstance(saved, EvaluationGrid):
+            return saved
+    except Exception:
+        pass
     result = evaluation_grid(fidelity=BENCH, workers=_bench_workers())
     OUTPUT_DIR.mkdir(exist_ok=True)
     with _GRID_CACHE.open("wb") as fh:

@@ -86,7 +86,8 @@ CLUSTER_LOAD = 0.7
 
 #: Pinned JSQ sweep: the same acceptance-scale topology routed through a
 #: state-dependent balancer, so every request crosses the compiled event
-#: kernel (live dispatch-stream PCG64, pre-drawn service buffers).
+#: kernel (dispatch and service streams drawn live through NumPy's
+#: ``bitgen_t`` samplers).
 JSQ_CLUSTER_CONFIG = ClusterConfig(
     n_servers=16,
     fanout=8,

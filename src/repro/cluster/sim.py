@@ -22,21 +22,21 @@ Execution strategy:
 - *State-independent* balancers pre-commit the full assignment matrix,
   so each server's arrival subsequence is known up front and its whole
   recurrence runs in one shot — through the compiled
-  ``rfp_lindley_epochs`` kernel when the service model is batchable
-  (same eligibility contract as the single-server fast path: the
-  ``batch_base`` protocol plus the stream-safe whitelist), falling back
-  per-server to a scalar loop with identical float arithmetic.
+  ``rfp_lindley_epochs`` kernel when the service model describes itself
+  as a :class:`~repro.queueing.program.ServiceProgram` (the kernel then
+  draws the server's stream live, exactly as the scalar loop does),
+  otherwise through a scalar loop with identical float arithmetic.
 - *State-dependent* balancers (JSQ, power-of-two) need queue lengths at
   dispatch time, so they run a global-order event loop.  Per-server
   arithmetic and stream consumption are identical, which is pinned by a
   differential test forcing a state-independent policy through both
   executors.  The event loop itself has two implementations: a compiled
-  C kernel (``rfp_cluster_events``) that consumes the dispatch stream
-  live through a PCG64 port and pre-draws service times through the
-  ``batch_base`` ladder with mid-run eject/refill, and the pure-Python
+  C kernel (``rfp_cluster_events``) that draws the dispatch and server
+  streams live through their ``bitgen_t`` handles, and the pure-Python
   reference loop — byte-identical by construction and by differential
-  test.  Tailobs-enabled runs and ineligible service models stay on the
-  Python loop.
+  test.  Tailobs-enabled runs and service models without a program stay
+  on the Python loop; every fallback is counted as
+  ``fastpath.fallback.<site>.<reason>`` and stamped on the run's span.
 
 ``force_event_loop`` pins the executor choice for tests and
 differential baselines: ``True`` routes state-*independent* balancers
@@ -127,56 +127,6 @@ class ClusterResult:
         from repro.queueing.stats import percentile
 
         return percentile(self.sojourn_times, q)
-
-
-def _simulate_server_batched(
-    epochs: np.ndarray,
-    service: ServiceModel,
-    rng: np.random.Generator,
-    warmup_count: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float] | None:
-    """Compiled epoch-Lindley over one server's arrival subsequence.
-
-    Mirrors ``MG1Simulator._run_batched``'s eligibility ladder; returns
-    ``None`` (with ``rng`` untouched) whenever the scalar loop must run.
-    """
-    from repro.uarch import fastpath
-
-    if fastpath.mode() == "off":
-        return None
-    batch = getattr(service, "batch_base", None)
-    if batch is None:
-        return None
-    from repro.uarch.fastpath.build import load_kernel
-
-    lib = load_kernel()
-    if lib is None:
-        return None
-    n = int(epochs.size)
-    decomposed = batch(rng, n)
-    if decomposed is None:
-        return None
-    base, penalty, has_penalty = decomposed
-
-    waits = np.empty(n)
-    services = np.empty(n)
-    idle_buf = np.empty(n)
-    out1 = np.zeros(1)
-    nidles = lib.rfp_lindley_epochs(
-        epochs.ctypes.data,
-        n,
-        warmup_count,
-        1 if has_penalty else 0,
-        float(penalty),
-        base.ctypes.data,
-        waits.ctypes.data,
-        services.ctypes.data,
-        idle_buf.ctypes.data,
-        out1.ctypes.data,
-    )
-    if nidles < 0:
-        raise ValueError("service model produced a negative time")
-    return waits, services, idle_buf[: int(nidles)].copy(), float(out1[0])
 
 
 def _simulate_server_scalar(
@@ -307,12 +257,12 @@ class ClusterSimulator:
             rate=float(self.arrivals.rate()),
             requests=int(num_requests),
             warmup=int(warmup),
-        ):
-            return self._run(num_requests, warmup)
+        ) as span:
+            return self._run(num_requests, warmup, span)
 
     # -- executors --------------------------------------------------------
 
-    def _run(self, num_requests: int, warmup: int) -> ClusterResult:
+    def _run(self, num_requests: int, warmup: int, span=None) -> ClusterResult:
         if (
             self.n_servers == 1
             and self.fanout == 1
@@ -322,7 +272,7 @@ class ClusterSimulator:
             # the output (stream consumption included) is byte-identical.
             result = MG1Simulator(
                 self.arrivals.rate_per_s, self.service, seed=self.seed
-            )._run(num_requests, warmup)
+            )._run(num_requests, warmup, span)
             obs.add("cluster.mg1_delegations")
             obs.add("cluster.runs")
             obs.add("cluster.requests_completed", num_requests - warmup)
@@ -361,8 +311,12 @@ class ClusterSimulator:
                 self.n_servers,
             )
         if assign is not None and not self.force_event_loop:
-            return self._run_per_server(streams, epochs, assign, num_requests, warmup)
-        return self._run_event_loop(streams, epochs, assign, num_requests, warmup)
+            return self._run_per_server(
+                streams, epochs, assign, num_requests, warmup, span
+            )
+        return self._run_event_loop(
+            streams, epochs, assign, num_requests, warmup, span
+        )
 
     def _run_per_server(
         self,
@@ -371,8 +325,12 @@ class ClusterSimulator:
         assign: np.ndarray,
         num_requests: int,
         warmup: int,
+        span=None,
     ) -> ClusterResult:
         """Vectorized executor: one independent recurrence per server."""
+        from repro.uarch.fastpath import queue as fastpath_queue
+
+        kernel = fastpath_queue.kernel_for(self.service, "cluster.servers", span)
         fanout = self.fanout
         leaf_server = assign.ravel()  # request-major, slot-minor leaf order
         leaf_epochs = np.repeat(epochs, fanout)
@@ -387,9 +345,10 @@ class ClusterSimulator:
             # server's warmup (sel is ascending, so count < warmup*fanout).
             w_i = int(np.searchsorted(sel, warmup_leaves))
             rng_i = streams.get(f"{SERVER_STREAM_PREFIX}{i}")
-            batched = _simulate_server_batched(eps_i, self.service, rng_i, w_i)
-            if batched is not None:
-                waits, services, idles, last_departure = batched
+            if kernel is not None:
+                waits, services, idles, last_departure = fastpath_queue.server(
+                    *kernel, rng_i, eps_i, w_i
+                )
                 fast_servers += 1
             else:
                 waits, services, idles, last_departure = _simulate_server_scalar(
@@ -409,17 +368,18 @@ class ClusterSimulator:
         assign: np.ndarray | None,
         num_requests: int,
         warmup: int,
+        span=None,
     ) -> ClusterResult:
         """Global-order executor for state-dependent balancers.
 
-        Tries the compiled event kernel first (dispatch stream consumed
-        live via the C PCG64 port, service draws through ``batch_base``
-        with eject/refill); falls back to the pure-Python reference loop
-        when the kernel is off, unavailable, bypassed
+        Tries the compiled event kernel first (dispatch and server
+        streams drawn live); falls back to the pure-Python reference
+        loop when the kernel is off, unavailable, bypassed
         (``force_event_loop="python"``), ineligible, or when tail
         telemetry needs per-request dispatch decisions.
         """
         from repro.cluster import tailobs
+        from repro.uarch import fastpath
 
         n_servers = self.n_servers
         # Telemetry keeps the dispatch decisions; this is pure recording
@@ -435,30 +395,36 @@ class ClusterSimulator:
         dispatch_rng = (
             streams.get(DISPATCH_STREAM) if assign is None else None
         )
-        if self.force_event_loop != "python" and not tailobs.is_enabled():
-            from repro.uarch import fastpath
+        bypass = (
+            "forced" if self.force_event_loop == "python"
+            else "telemetry" if tailobs.is_enabled()
+            else "off" if fastpath.mode() == "off"
+            else None
+        )
+        if bypass is not None:
+            fastpath.fallback("cluster.events", bypass, span)
+        else:
+            from repro.uarch.fastpath import cluster as fp_cluster
 
-            if fastpath.mode() != "off":
-                from repro.uarch.fastpath import cluster as fp_cluster
-
-                compiled = fp_cluster.run_cluster_events(
-                    epochs=epochs,
-                    assign=assign,
-                    fanout=self.fanout,
-                    n_servers=n_servers,
-                    num_requests=num_requests,
-                    warmup=warmup,
-                    service=self.service,
-                    rngs=rngs,
-                    dispatch_rng=dispatch_rng,
-                    balancer=self.balancer,
+            compiled = fp_cluster.run_cluster_events(
+                epochs=epochs,
+                assign=assign,
+                fanout=self.fanout,
+                n_servers=n_servers,
+                num_requests=num_requests,
+                warmup=warmup,
+                service=self.service,
+                rngs=rngs,
+                dispatch_rng=dispatch_rng,
+                balancer=self.balancer,
+                span=span,
+            )
+            if compiled is not None:
+                sojourns, per_server = compiled
+                obs.add("cluster.event_kernel_runs")
+                return self._assemble(
+                    epochs, sojourns, per_server, warmup, n_servers, assign
                 )
-                if compiled is not None:
-                    sojourns, per_server = compiled
-                    obs.add("cluster.event_kernel_runs")
-                    return self._assemble(
-                        epochs, sojourns, per_server, warmup, n_servers, assign
-                    )
         obs.add("cluster.event_python_runs")
         completion = [0.0] * n_servers
         queue_lengths = np.zeros(n_servers, dtype=np.int64)

@@ -237,7 +237,11 @@ class SumDistribution(Distribution):
         return sum(c.mean() for c in self.components)
 
     def sample(self, rng: np.random.Generator) -> float:
-        return sum(c.sample(rng) for c in self.components)
+        # Left to right, as the kernels replay it (3.12's ``sum`` does not).
+        total = 0.0
+        for component in self.components:
+            total += component.sample(rng)
+        return total
 
     def sample_many(self, rng: np.random.Generator, n: int) -> np.ndarray:
         out = np.zeros(n)
@@ -297,7 +301,7 @@ class Mixture(Distribution):
 
 
 # ----------------------------------------------------------------------
-# Stream-safety classification (used by the batched M/G/1 fast path)
+# Stream-safety classification (used by FanOutMax's chunked fills)
 # ----------------------------------------------------------------------
 
 #: Distributions whose ``sample_many(rng, n)`` consumes the generator's
@@ -321,14 +325,3 @@ def is_stream_safe(dist: Distribution) -> bool:
     if type(dist) is ScaledDistribution:
         return is_stream_safe(dist.base)
     return False
-
-
-def draws_per_sample(dist: Distribution) -> int:
-    """How many rng draws one ``sample`` call consumes (0 or 1 for the
-    stream-safe set; used to decide whether interleaved per-request draws
-    can be hoisted into one bulk fill)."""
-    if type(dist) is Deterministic:
-        return 0
-    if type(dist) is ScaledDistribution:
-        return draws_per_sample(dist.base)
-    return 1

@@ -20,7 +20,8 @@ matrix from scratch.  This module adds a disk layer underneath them:
   is treated as a miss (and unlinked best-effort), never as an error.
 * **Size-bounded eviction.**  When the cache grows past ``max_bytes``,
   the least-recently-used entries (by mtime; hits touch the file) are
-  evicted until it fits.
+  evicted until it fits.  Each instance counts its writes on top of one
+  directory scan and rescans only when the count passes the bound.
 
 Configuration (environment variables, read lazily on first use):
 
@@ -209,6 +210,9 @@ class DiskCache:
         self.max_bytes = max_bytes
         self.schema_version = schema_version
         self.stats = CacheStats()
+        #: Bytes under ``root`` as last scanned plus every payload written
+        #: since (``None`` until the first write's scan).
+        self._bytes: int | None = None
 
     # -- keys -----------------------------------------------------------
 
@@ -294,7 +298,12 @@ class DiskCache:
             return
         self.stats.writes += 1
         obs.add("cache.disk.writes")
-        self._evict_if_needed()
+        if self.max_bytes is None:
+            return
+        if self._bytes is not None:
+            self._bytes += len(payload)
+        if self._bytes is None or self._bytes > self.max_bytes:
+            self._evict_if_needed()
 
     # -- maintenance ----------------------------------------------------
 
@@ -318,8 +327,8 @@ class DiskCache:
         return total
 
     def _evict_if_needed(self) -> None:
-        if self.max_bytes is None:
-            return
+        """Scan the cache, evict oldest-first down to ``max_bytes`` and
+        reset the byte count to what remains."""
         entries = []
         total = 0
         for path in self._entries():
@@ -329,19 +338,20 @@ class DiskCache:
                 continue
             entries.append((st.st_mtime, st.st_size, path))
             total += st.st_size
-        if total <= self.max_bytes:
-            return
-        for _, size, path in sorted(entries):  # oldest mtime first
-            _unlink_quietly(path)
-            self.stats.evictions += 1
-            obs.add("cache.disk.evictions")
-            total -= size
-            if total <= self.max_bytes:
-                break
+        if total > self.max_bytes:
+            for _, size, path in sorted(entries):  # oldest mtime first
+                _unlink_quietly(path)
+                self.stats.evictions += 1
+                obs.add("cache.disk.evictions")
+                total -= size
+                if total <= self.max_bytes:
+                    break
+        self._bytes = total
 
     def clear(self) -> None:
         for path in self._entries():
             _unlink_quietly(path)
+        self._bytes = None
 
 
 def _unlink_quietly(path: Path) -> None:

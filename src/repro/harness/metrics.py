@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import prof, validate
-from repro.common.units import seconds_from_us
+from repro.common.units import US_PER_S, seconds_from_us
 from repro.core.designs import Design, get_design
 from repro.harness.measure import CoreMeasurement
 from repro.net.nic import nic_utilization
@@ -40,6 +40,7 @@ from repro.power.mcpat import (
     llc_static_w,
 )
 from repro.queueing.mg1 import MG1Simulator, ServiceModel
+from repro.queueing.program import ADD, CONST, DIV, MUL, START, ServiceProgram
 from repro.workloads.filler import (
     FILLER_COMPUTE_US,
     FILLER_INSTRUCTIONS_PER_US,
@@ -248,74 +249,26 @@ class DesignServiceModel(ServiceModel):
             total += self.start_penalty_s
         return total
 
-    def batch_base(
-        self, rng: np.random.Generator, n: int
-    ) -> tuple[np.ndarray, float, bool] | None:
-        """Pre-draw ``n`` base (idle-independent) service times, consuming
-        ``rng`` exactly as ``n`` sequential ``service_time`` calls would.
-
-        Eligible when at most one phase term consumes the generator per
-        request (the rest are ``Deterministic``): the per-request stream
-        then collapses to ``n`` consecutive draws of that one stream-safe
-        distribution, which a single bulk fill reproduces bit-for-bit.
-        The accumulation replays the scalar loop's additions in order —
-        constant terms fold into a scalar prefix, the random term joins
-        elementwise, later constants add elementwise — so every float op
-        matches the reference.  Multi-draw workloads (e.g. McRouter's
-        compute + stall pair) return ``None`` untouched and stay scalar.
-        """
-        from repro.common.distributions import (
-            Deterministic,
-            draws_per_sample,
-            is_stream_safe,
-        )
-
-        terms: list[tuple[str, object]] = []
-        consuming = 0
+    def program(self) -> ServiceProgram | None:
+        """:meth:`service_time` as a kernel program (``seconds_from_us`` is
+        the DIV by ``US_PER_S``), ``None`` if a phase has no spelling."""
+        program = ServiceProgram()
+        program.emit(CONST, 0.0)
         for phase in self.workload.phases:
-            compute = phase.compute_us
-            if draws_per_sample(compute) == 0:
-                terms.append(
-                    ("const", seconds_from_us(compute.sample(rng)) * self.slowdown)
-                )
-            elif is_stream_safe(compute):
-                consuming += 1
-                terms.append(("compute", compute))
-            else:
+            if not program.sample(phase.compute_us):
                 return None
+            program.emit(DIV, US_PER_S)
+            program.emit(MUL, self.slowdown)
+            program.emit(ADD)
             if phase.stall_us is not None:
-                stall = phase.stall_us
-                if draws_per_sample(stall) == 0:
-                    terms.append(("const", seconds_from_us(stall.sample(rng))))
-                elif is_stream_safe(stall):
-                    consuming += 1
-                    terms.append(("stall", stall))
-                else:
+                if not program.sample(phase.stall_us):
                     return None
-                terms.append(("const", self.per_stall_penalty_s))
-        if consuming > 1:
-            return None
-
-        acc = 0.0
-        arr: np.ndarray | None = None
-        for kind, payload in terms:
-            if kind == "const":
-                if arr is None:
-                    acc = acc + payload
-                else:
-                    arr = arr + payload
-            else:
-                xs = payload.sample_many(rng, n)
-                if kind == "compute":
-                    term = seconds_from_us(xs) * self.slowdown
-                else:
-                    term = seconds_from_us(xs)
-                arr = acc + term
-        if arr is None:
-            arr = np.full(n, acc)
-        # idle_before > 0 always adds start_penalty_s in the scalar path
-        # (even when it is 0.0), so has_penalty is unconditionally True.
-        return np.ascontiguousarray(arr, dtype=np.float64), self.start_penalty_s, True
+                program.emit(DIV, US_PER_S)
+                program.emit(ADD)
+                program.emit(CONST, self.per_stall_penalty_s)
+                program.emit(ADD)
+        program.emit(START, self.start_penalty_s)
+        return program
 
     def mean_service_time(self) -> float:
         mean = 0.0

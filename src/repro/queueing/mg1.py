@@ -22,16 +22,19 @@ microcode register reload) enter the queueing layer.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Protocol
 
 import numpy as np
 
 from repro import energy, obs, prof
 from repro.common.distributions import Distribution
+from repro.queueing.program import START, ServiceProgram
 
 
 class ServiceModel(Protocol):
-    """Produces a service time for each request."""
+    """Produces a service time for each request.  A model may also offer
+    ``program()`` (:mod:`repro.queueing.program`) to run in the kernels."""
 
     def service_time(self, rng: np.random.Generator, idle_before: float) -> float:
         """Service time (seconds) given the server idle time preceding
@@ -55,22 +58,10 @@ class DistributionService:
     def mean_service_time(self) -> float:
         return self.dist.mean()
 
-    def batch_base(
-        self, rng: np.random.Generator, n: int
-    ) -> tuple[np.ndarray, float, bool] | None:
-        """Pre-draw ``n`` base service times for the batched Lindley path.
-
-        Contract (shared by every ``batch_base``): on success, consume
-        ``rng`` exactly as ``n`` sequential ``service_time`` calls would
-        and return ``(base, idle_penalty, has_penalty)``; on ineligibility
-        return ``None`` *without touching the generator* so the scalar
-        reference loop sees an untouched stream.
-        """
-        from repro.common.distributions import is_stream_safe
-
-        if not is_stream_safe(self.dist):
-            return None
-        return np.asarray(self.dist.sample_many(rng, n), dtype=np.float64), 0.0, False
+    def program(self) -> ServiceProgram | None:
+        """This model as a kernel program (``None``: reference loop)."""
+        program = ServiceProgram()
+        return program if program.sample(self.dist) else None
 
 
 @dataclass(frozen=True)
@@ -94,18 +85,13 @@ class RestartPenaltyService:
         base = self.dist.sample(rng)
         return base + self.penalty if idle_before > 0 else base
 
-    def batch_base(
-        self, rng: np.random.Generator, n: int
-    ) -> tuple[np.ndarray, float, bool] | None:
-        """See :meth:`DistributionService.batch_base`; the idle penalty is
-        applied inside the Lindley recurrence exactly where the scalar
-        path applies it (``base + penalty`` when ``idle_before > 0``)."""
-        from repro.common.distributions import is_stream_safe
-
-        if not is_stream_safe(self.dist):
+    def program(self) -> ServiceProgram | None:
+        """This model as a kernel program (``None``: reference loop)."""
+        program = ServiceProgram()
+        if not program.sample(self.dist):
             return None
-        base = np.asarray(self.dist.sample_many(rng, n), dtype=np.float64)
-        return base, self.penalty, True
+        program.emit(START, self.penalty)
+        return program
 
     def mean_service_time(self) -> float:
         # The penalty applies to the (load-dependent) fraction of requests
@@ -211,61 +197,27 @@ class MG1Simulator:
             rate=float(self.arrival_rate),
             requests=int(num_requests),
             warmup=int(warmup),
-        ):
-            return self._run(num_requests, warmup)
+        ) as span:
+            return self._run(num_requests, warmup, span)
 
-    def _run(self, num_requests: int, warmup: int) -> QueueResult:
+    def _run(self, num_requests: int, warmup: int, span=None) -> QueueResult:
+        from repro.uarch.fastpath import queue as fastpath_queue
+
         rng = np.random.default_rng(self.seed)
         inter_arrivals = rng.exponential(1.0 / self.arrival_rate, size=num_requests)
-
-        # Batched fast path: when the service model's draws are
-        # queue-state independent and stream-safe, pre-draw them in bulk
-        # (identical bitstream) and run the Lindley recurrence in the
-        # compiled kernel.  Falls through to the scalar reference loop on
-        # any ineligibility; both paths produce bit-identical results.
-        result = self._run_batched(rng, inter_arrivals, num_requests, warmup)
-        if result is not None:
-            return result
-
-        waits = np.empty(num_requests)
-        services = np.empty(num_requests)
-        idles: list[float] = []
         # Which requests arrived at an idle server (and so paid any
         # restart penalty the service model charges).  Tracked only for
         # the profiler; the simulation itself never reads it.
         penalized = (
             np.zeros(num_requests, dtype=bool) if prof.is_enabled() else None
         )
-
-        arrival = 0.0  # arrival epoch of request n (first gap included)
-        window_start = 0.0
-        backlog = 0.0  # W_n + S_n carried into the next arrival
-        for n in range(num_requests):
-            gap = inter_arrivals[n]
-            arrival += gap
-            residual = backlog - gap
-            if residual >= 0:
-                wait = residual
-                idle_before = 0.0
-            else:
-                wait = 0.0
-                idle_before = -residual
-                # An idle period is retained only if it ends at a
-                # retained arrival strictly inside the window (the idle
-                # preceding request ``warmup`` lies before the window;
-                # the one before the very first arrival is artificial).
-                if n > warmup:
-                    idles.append(idle_before)
-                if penalized is not None:
-                    penalized[n] = True
-            if n == warmup:
-                window_start = arrival
-            service = self.service.service_time(rng, idle_before)
-            if service < 0:
-                raise ValueError("service model produced a negative time")
-            waits[n] = wait
-            services[n] = service
-            backlog = wait + service
+        # The compiled recurrence draws the same stream live; both paths
+        # produce bit-identical results and generator states.
+        kernel = fastpath_queue.kernel_for(self.service, "mg1", span)
+        run = partial(fastpath_queue.mg1, *kernel) if kernel else self._reference
+        waits, services, idles, arrival, backlog, window_start = run(
+            rng, inter_arrivals, warmup, penalized
+        )
 
         # Window: first retained arrival -> last departure.  The server
         # spends the first waits[warmup] seconds of it clearing the
@@ -297,101 +249,52 @@ class MG1Simulator:
         return QueueResult(
             wait_times=waits[warmup:],
             service_times=services[warmup:],
-            idle_periods=np.asarray(idles, dtype=float),
+            idle_periods=idles,
             busy_time=busy,
             duration=duration,
             arrival_rate=self.arrival_rate,
         )
 
-    def _run_batched(
+    def _reference(
         self,
         rng: np.random.Generator,
         inter_arrivals: np.ndarray,
-        num_requests: int,
         warmup: int,
-    ) -> QueueResult | None:
-        """The vectorized ``_run``: bulk service draws + compiled Lindley.
-
-        Returns ``None`` (with ``rng`` untouched) whenever the fastpath
-        is off, the kernel is unavailable, or the service model cannot
-        pre-draw its times without changing the bitstream; the caller
-        then runs the scalar reference loop.
-        """
-        from repro.uarch import fastpath
-
-        if fastpath.mode() == "off":
-            return None
-        batch = getattr(self.service, "batch_base", None)
-        if batch is None:
-            return None
-        from repro.uarch.fastpath.build import load_kernel
-
-        lib = load_kernel()
-        if lib is None:
-            return None
-        decomposed = batch(rng, num_requests)
-        if decomposed is None:
-            return None
-        base, penalty, has_penalty = decomposed
-
+        penalized: np.ndarray | None,
+    ) -> tuple:
+        """The Python Lindley loop: the specification the kernel matches."""
+        num_requests = int(inter_arrivals.size)
         waits = np.empty(num_requests)
         services = np.empty(num_requests)
-        idle_buf = np.empty(num_requests)
-        penalized = (
-            np.zeros(num_requests, dtype=np.uint8) if prof.is_enabled() else None
-        )
-        out3 = np.zeros(3)
-        gaps = np.ascontiguousarray(inter_arrivals, dtype=np.float64)
-        nidles = lib.rfp_lindley(
-            gaps.ctypes.data,
-            num_requests,
-            warmup,
-            1 if has_penalty else 0,
-            float(penalty),
-            base.ctypes.data,
-            waits.ctypes.data,
-            services.ctypes.data,
-            idle_buf.ctypes.data,
-            penalized.ctypes.data if penalized is not None else None,
-            out3.ctypes.data,
-        )
-        if nidles < 0:
-            raise ValueError("service model produced a negative time")
-
-        arrival, backlog, window_start = out3
-        last_departure = arrival + backlog
-        duration = float(last_departure - window_start)
-        busy = float(waits[warmup] + services[warmup:].sum())
-        obs.add("mg1.runs")
-        obs.add("mg1.requests_completed", num_requests - warmup)
-        if penalized is not None:
-            prof_penalty = float(getattr(self.service, "penalty", 0.0) or 0.0)
-            prof.record_mg1_run(
-                rate=self.arrival_rate,
-                waits=waits[warmup:],
-                services=services[warmup:],
-                penalized=(
-                    penalized[warmup:] != 0 if prof_penalty > 0 else None
-                ),
-                penalty=prof_penalty,
-                seed=self.seed,
-            )
-            if energy.is_enabled():
-                energy.record_mg1_run(
-                    rate=self.arrival_rate,
-                    requests=num_requests - warmup,
-                    busy_s=busy,
-                    duration_s=duration,
-                    penalized=(
-                        penalized[warmup:] != 0 if prof_penalty > 0 else None
-                    ),
-                    penalty=prof_penalty,
-                )
-        return QueueResult(
-            wait_times=waits[warmup:],
-            service_times=services[warmup:],
-            idle_periods=idle_buf[: int(nidles)].copy(),
-            busy_time=busy,
-            duration=duration,
-            arrival_rate=self.arrival_rate,
-        )
+        idles: list[float] = []
+        arrival = 0.0  # arrival epoch of request n (first gap included)
+        window_start = 0.0
+        backlog = 0.0  # W_n + S_n carried into the next arrival
+        for n in range(num_requests):
+            gap = inter_arrivals[n]
+            arrival += gap
+            residual = backlog - gap
+            if residual >= 0:
+                wait = residual
+                idle_before = 0.0
+            else:
+                wait = 0.0
+                idle_before = -residual
+                # An idle period is retained only if it ends at a
+                # retained arrival strictly inside the window (the idle
+                # preceding request ``warmup`` lies before the window;
+                # the one before the very first arrival is artificial).
+                if n > warmup:
+                    idles.append(idle_before)
+                if penalized is not None:
+                    penalized[n] = True
+            if n == warmup:
+                window_start = arrival
+            service = self.service.service_time(rng, idle_before)
+            if service < 0:
+                raise ValueError("service model produced a negative time")
+            waits[n] = wait
+            services[n] = service
+            backlog = wait + service
+        idle_periods = np.asarray(idles, dtype=float)
+        return waits, services, idle_periods, arrival, backlog, window_start

@@ -1,9 +1,11 @@
-"""Compiled execution fast path for the timing engine and M/G/1 queue.
+"""Compiled execution fast path for the timing engine and the queues.
 
 ``repro.uarch.fastpath`` precompiles each workload's instruction stream
 into typed column arrays and advances whole runs inside a small C kernel
 (compiled on demand, loaded via ctypes) instead of interpreting one
-instruction per Python ``_step()`` call.  The kernel is a faithful
+instruction per Python ``_step()`` call.  The same kernel runs the M/G/1
+and cluster queues, drawing service times live from NumPy's own
+samplers (:mod:`repro.uarch.fastpath.queue`).  The kernel is a faithful
 transliteration of the reference semantics: results, statistics, slot
 attributions and golden snapshots are byte-identical, so the cache
 ``SCHEMA_VERSION`` does not bump.
@@ -77,6 +79,17 @@ def configure_worker(config: dict) -> None:
         set_mode(config.get("mode"))
 
 
+def fallback(site: str, reason: str, span=None) -> None:
+    """Record that ``site`` ran its Python reference loop and why: the
+    ``fastpath.fallback.<site>.<reason>`` counter, and a ``fallback``
+    attribute on ``span`` (the run's :func:`repro.obs.span`)."""
+    from repro import obs
+
+    obs.add(f"fastpath.fallback.{site}.{reason}")
+    if span is not None:
+        span.set("fallback", reason)
+
+
 def try_run(
     engine,
     *,
@@ -143,6 +156,7 @@ __all__ = [
     "config_for_worker",
     "configure_worker",
     "eject_engine",
+    "fallback",
     "is_available",
     "mode",
     "set_mode",

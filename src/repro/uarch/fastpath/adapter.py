@@ -81,6 +81,14 @@ def _ptr(arr: np.ndarray) -> int:
     return arr.ctypes.data
 
 
+def _live(refs: list[weakref.ref]):
+    """``(world index, object)`` for every referent still alive."""
+    for idx, ref in enumerate(refs):
+        obj = ref()
+        if obj is not None:
+            yield idx, obj
+
+
 class _World:
     """One kernel instance plus the Python objects mirrored into it."""
 
@@ -92,13 +100,16 @@ class _World:
             raise MemoryError("rfp_new failed")
         self.ptr = ptr
         self.dead = False
-        # Python objects by world index (list position == kernel index).
-        self.caches: list[SetAssociativeCache] = []
-        self.tlbs: list[TLB] = []
-        self.btbs: list[BranchTargetBuffer] = []
-        self.preds: list[object] = []
-        self.hiers: list[MemoryHierarchy] = []
-        self.engines: list[TimingEngine] = []
+        # Python objects by world index (list position == kernel index),
+        # held weakly: each holds its world (``_fp_world``/``_fp_binding``),
+        # so the world is freed by reference counting once the last goes,
+        # and a live structure keeps it (and its kernel state) for eject.
+        self.caches: list[weakref.ref[SetAssociativeCache]] = []
+        self.tlbs: list[weakref.ref[TLB]] = []
+        self.btbs: list[weakref.ref[BranchTargetBuffer]] = []
+        self.preds: list[weakref.ref] = []
+        self.hiers: list[weakref.ref[MemoryHierarchy]] = []
+        self.engines: list[weakref.ref[TimingEngine]] = []
         #: Objects whose buffers the kernel borrows (traces, predictor
         #: tables) — must outlive the world.
         self.keepalive: list[object] = []
@@ -148,7 +159,7 @@ class _World:
         self.lib.rfp_cache_seed(self.ptr, idx, _ptr(cnt), _ptr(lines), _ptr(counters))
         cache._fp_world = self
         cache._fp_idx = idx
-        self.caches.append(cache)
+        self.caches.append(weakref.ref(cache))
         return idx
 
     def tlb_index(self, tlb) -> int:
@@ -174,7 +185,7 @@ class _World:
         self.lib.rfp_tlb_seed(self.ptr, idx, n, _ptr(vpns), tlb.hits, tlb.misses)
         tlb._fp_world = self
         tlb._fp_idx = idx
-        self.tlbs.append(tlb)
+        self.tlbs.append(weakref.ref(tlb))
         return idx
 
     def btb_index(self, btb) -> int:
@@ -200,7 +211,7 @@ class _World:
         )
         btb._fp_world = self
         btb._fp_idx = idx
-        self.btbs.append(btb)
+        self.btbs.append(weakref.ref(btb))
         return idx
 
     @staticmethod
@@ -255,7 +266,7 @@ class _World:
             raise MemoryError("rfp_add_pred failed")
         pred._fp_world = self
         pred._fp_idx = idx
-        self.preds.append(pred)
+        self.preds.append(weakref.ref(pred))
         return idx
 
     def hier_index(self, hier) -> int:
@@ -318,7 +329,7 @@ class _World:
         self.lib.rfp_hier_seed(self.ptr, idx, _ptr(counters))
         hier._fp_world = self
         hier._fp_idx = idx
-        self.hiers.append(hier)
+        self.hiers.append(weakref.ref(hier))
         return idx
 
     def trace_columns(self, trace) -> tuple[np.ndarray, ...]:
@@ -622,7 +633,7 @@ def _bind(engine, lib) -> _Binding | None:
         engine._fp_ineligible = True
         return None
     engine._fp_binding = binding
-    w.engines.append(engine)
+    w.engines.append(weakref.ref(engine))
     return binding
 
 
@@ -638,7 +649,7 @@ def _eject_foreign(engine, *, poison: bool) -> None:
     engine._fp_ineligible = True
     for w in worlds:
         if poison:
-            for other in w.engines:
+            for _, other in _live(w.engines):
                 other._fp_ineligible = True
         eject_world(w)
 
@@ -742,21 +753,21 @@ def _seed_sched(engine, binding: _Binding) -> bool:
 def _export_counters(world: _World) -> None:
     lib, ptr, buf = world.lib, world.ptr, world.scratch
     bp = _ptr(buf)
-    for idx, cache in enumerate(world.caches):
+    for idx, cache in _live(world.caches):
         lib.rfp_cache_counters(ptr, idx, bp)
         cache.hits = int(buf[0])
         cache.misses = int(buf[1])
         cache.evictions = int(buf[2])
         cache.invalidations = int(buf[3])
-    for idx, tlb in enumerate(world.tlbs):
+    for idx, tlb in _live(world.tlbs):
         lib.rfp_tlb_counters(ptr, idx, bp)
         tlb.hits = int(buf[0])
         tlb.misses = int(buf[1])
-    for idx, btb in enumerate(world.btbs):
+    for idx, btb in _live(world.btbs):
         lib.rfp_btb_counters(ptr, idx, bp)
         btb.hits = int(buf[0])
         btb.misses = int(buf[1])
-    for idx, hier in enumerate(world.hiers):
+    for idx, hier in _live(world.hiers):
         nlev = len(hier.levels)
         hbuf = np.zeros(5 + nlev, dtype=np.int64)
         lib.rfp_hier_dump(ptr, idx, _ptr(hbuf))
@@ -990,7 +1001,7 @@ def eject_world(w: _World) -> None:
     if w.dead:
         return
     lib, ptr = w.lib, w.ptr
-    for engine in w.engines:
+    for _, engine in _live(w.engines):
         binding = getattr(engine, "_fp_binding", None)
         if binding is None or binding.world is not w:
             continue
@@ -1024,7 +1035,7 @@ def eject_world(w: _World) -> None:
             )
         engine._fp_binding = None
     _export_counters(w)
-    for cache in w.caches:
+    for _, cache in _live(w.caches):
         nsets = cache._num_sets
         assoc = cache.config.associativity
         cnt = np.zeros(nsets, dtype=np.int64)
@@ -1039,13 +1050,13 @@ def eject_world(w: _World) -> None:
             ll[s * assoc : s * assoc + cl[s]] for s in range(nsets)
         ]
         del cache._fp_world, cache._fp_idx
-    for tlb in w.tlbs:
+    for _, tlb in _live(w.tlbs):
         vpns = np.zeros(tlb.config.entries, dtype=np.int64)
         counters = np.zeros(2, dtype=np.int64)
         n = lib.rfp_tlb_dump(ptr, tlb._fp_idx, _ptr(vpns), _ptr(counters))
         tlb._entries = vpns[:n].tolist()
         del tlb._fp_world, tlb._fp_idx
-    for btb in w.btbs:
+    for _, btb in _live(w.btbs):
         n = btb.entries
         tags = np.zeros(n, dtype=np.int64)
         valid = np.zeros(n, dtype=np.uint8)
@@ -1058,10 +1069,10 @@ def eject_world(w: _World) -> None:
         btb._tags = [tl[i] if vl[i] else None for i in range(n)]
         btb._targets = targets.tolist()
         del btb._fp_world, btb._fp_idx
-    for pred in w.preds:
+    for _, pred in _live(w.preds):
         # Tables were borrowed zero-copy; nothing to export.
         del pred._fp_world, pred._fp_idx
-    for hier in w.hiers:
+    for _, hier in _live(w.hiers):
         del hier._fp_world, hier._fp_idx
     w.engines.clear()
     w.free()

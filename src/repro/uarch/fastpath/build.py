@@ -2,11 +2,15 @@
 
 The kernel ships as C source (``kernel.c``) and is compiled on first use
 with whatever C compiler the host provides (``$CC``, ``cc``, ``gcc`` or
-``clang``).  Build products are cached in a per-user directory keyed by a
-hash of the source, so recompilation happens only when the kernel
-changes.  Everything degrades gracefully: any failure (no compiler, no
-writable cache dir, a broken toolchain) makes :func:`load_kernel` return
-``None`` and the engines stay on the pure-Python reference path.
+``clang``).  The queueing kernels are compiled only when the build can
+link NumPy's sampler library (``numpy/random/lib/libnpyrandom.a``);
+without it the queues stay on their Python loops (:func:`queue_kernel`).
+Build products are cached in a per-user directory keyed by a hash of the
+source, the compile flags, the NumPy version and the archive, so
+recompilation happens only when one of them changes.  Everything
+degrades gracefully: any failure (no compiler, no writable cache dir, a
+broken toolchain) makes :func:`load_kernel` return ``None`` and the
+engines stay on the pure-Python reference path.
 """
 
 from __future__ import annotations
@@ -25,6 +29,11 @@ _KERNEL_SRC = Path(__file__).with_name("kernel.c")
 _lock = threading.Lock()
 _UNSET = object()
 _kernel: object = _UNSET  # ctypes.CDLL | None once resolved
+_queue_linked = False  # whether the loaded kernel links libnpyrandom
+
+#: Compile flags (part of the build key); ``-ffp-contract=off`` keeps
+#: multiply-adds unfused, as in the reference loops, on every target.
+_CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 
 _PTR = ctypes.c_void_p
 _I64 = ctypes.c_int64
@@ -89,29 +98,29 @@ _SIGNATURES = {
         [_PTR, _I64, _I64, _I64, _I64, _I64, _I64, _PTR, _PTR],
     ),
     "rfp_fast_forward": (_I64, [_PTR, _I64, _I64]),
-    "rfp_lindley": (
-        _I64,
-        [_PTR, _I64, _I64, _I64, ctypes.c_double, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR],
-    ),
-    "rfp_lindley_epochs": (
-        _I64,
-        [_PTR, _I64, _I64, _I64, ctypes.c_double, _PTR, _PTR, _PTR, _PTR, _PTR],
-    ),
     "rfp_tracegen": (
         _I64,
         [_PTR] * 16 + [_PTR] * 9,
     ),
-    "rfp_pcg64_raw": (None, [_PTR, _I64, _PTR]),
-    "rfp_pcg64_doubles": (None, [_PTR, _I64, _PTR]),
-    "rfp_pcg64_bounded": (None, [_PTR, _I64, _PTR, _PTR]),
-    "rfp_pcg64_choice2": (None, [_PTR, _I64, _PTR]),
+}
+
+#: The queueing kernels, built only when libnpyrandom is linked.
+_QUEUE_SIGNATURES = {
+    "rfp_lindley": (
+        _I64,
+        [_PTR, _I64, _I64, _PTR, _PTR, _I64, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR],
+    ),
+    "rfp_lindley_epochs": (
+        _I64,
+        [_PTR, _I64, _I64, _PTR, _PTR, _I64, _PTR, _PTR, _PTR, _PTR, _PTR],
+    ),
     "rfp_cluster_events": (
         _I64,
         [
             _PTR, _I64, _I64, _I64, _I64,  # epochs, n, warmup, fanout, n_servers
-            _I64, _PTR, _PTR,              # mode, assign, pcg state words
-            _I64, ctypes.c_double,         # has_penalty, penalty
-            _PTR, _PTR, _I64,              # svc, svc_filled, cap
+            _I64, _PTR, _PTR,              # mode, assign, dispatch bitgen
+            _PTR, _PTR, _I64,              # program ops, args, nops
+            _PTR, _I64,                    # server bitgens, cap
             _PTR, _PTR, _PTR,              # waits, services, idles
             _PTR, _PTR, _PTR,              # out_cnt, idle_cnt, warmup_cnt
             _PTR, _PTR,                    # completion, qlen
@@ -140,7 +149,15 @@ def _cache_dir() -> Path:
     return Path(tempfile.gettempdir()) / f"repro-fastpath-{uid}"
 
 
-def _compile(source: Path, out: Path) -> bool:
+def npyrandom_archive() -> Path | None:
+    """NumPy's static sampler library, or ``None`` if this install lacks it."""
+    import numpy.random
+
+    path = Path(numpy.random.__file__).with_name("lib") / "libnpyrandom.a"
+    return path if path.is_file() else None
+
+
+def _compile(source: Path, out: Path, archive: Path | None) -> bool:
     cc = _compiler()
     if cc is None:
         return False
@@ -149,7 +166,10 @@ def _compile(source: Path, out: Path) -> bool:
     # pool workers racing on a cold cache never load a half-written .so.
     fd, tmp = tempfile.mkstemp(suffix=".so", dir=str(out.parent))
     os.close(fd)
-    cmd = [cc, "-O2", "-fPIC", "-shared", "-o", tmp, str(source)]
+    cmd = [cc, *_CFLAGS, "-o", tmp, str(source)]
+    if archive is not None:
+        cmd[1:1] = ["-DRFP_NPYRANDOM"]
+        cmd += [str(archive), "-lm"]
     try:
         proc = subprocess.run(
             cmd, capture_output=True, text=True, timeout=120, check=False
@@ -168,28 +188,42 @@ def _compile(source: Path, out: Path) -> bool:
                 pass
 
 
+def _build_key(source: bytes, archive: Path | None) -> str:
+    import numpy
+
+    key = hashlib.sha256(source)
+    key.update(" ".join(_CFLAGS).encode())
+    key.update(numpy.__version__.encode())
+    key.update(
+        hashlib.sha256(archive.read_bytes()).digest() if archive else b"none"
+    )
+    return key.hexdigest()[:16]
+
+
 def _load() -> ctypes.CDLL | None:
+    global _queue_linked
     try:
         source = _KERNEL_SRC.read_bytes()
-    except OSError:
-        return None
-    digest = hashlib.sha256(source).hexdigest()[:16]
-    so_path = _cache_dir() / f"kernel-{digest}.so"
-    try:
-        if not so_path.exists() and not _compile(_KERNEL_SRC, so_path):
+        archive = npyrandom_archive()
+        so_path = _cache_dir() / f"kernel-{_build_key(source, archive)}.so"
+        if not so_path.exists() and not _compile(_KERNEL_SRC, so_path, archive):
             return None
         lib = ctypes.CDLL(str(so_path))
     except OSError:
         return None
+    signatures = dict(_SIGNATURES)
+    if archive is not None:
+        signatures.update(_QUEUE_SIGNATURES)
     try:
-        for name, (restype, argtypes) in _SIGNATURES.items():
+        for name, (restype, argtypes) in signatures.items():
             fn = getattr(lib, name)
             fn.restype = restype
             fn.argtypes = argtypes
     except AttributeError:
         # Stale .so missing an entry point (should be impossible with the
-        # source-hash key, but never let it poison the reference path).
+        # build key, but never let it poison the reference path).
         return None
+    _queue_linked = archive is not None
     return lib
 
 
@@ -207,8 +241,21 @@ def load_kernel() -> ctypes.CDLL | None:
     return _kernel  # type: ignore[return-value]
 
 
+def queue_kernel() -> tuple[ctypes.CDLL | None, str | None]:
+    """The kernel with its queueing entry points, or ``(None, reason)``:
+    ``"no_kernel"`` when nothing loads, ``"no_npyrandom"`` when the
+    kernel was built without NumPy's sampler library."""
+    lib = load_kernel()
+    if lib is None:
+        return None, "no_kernel"
+    if not _queue_linked:
+        return None, "no_npyrandom"
+    return lib, None
+
+
 def reset_for_tests() -> None:
     """Forget the memoized kernel so tests can exercise reload paths."""
-    global _kernel
+    global _kernel, _queue_linked
     with _lock:
         _kernel = _UNSET
+        _queue_linked = False

@@ -2,49 +2,33 @@
 
 :func:`run_cluster_events` executes the global-order executor of
 :class:`repro.cluster.sim.ClusterSimulator` inside the C kernel.  The
-two stream families cross the boundary differently:
-
-* **Dispatch stream** — JSQ / power-of-two selection draws are
-  data-dependent, so the kernel consumes the stream *live* through a C
-  port of PCG64: the ``Generator.bit_generator.state`` words are handed
-  in on entry and written back on exit, so the dispatch stream advances
-  exactly as the interpreted loop would have advanced it.
-* **Server streams** — base service times go through the ``batch_base``
-  pre-draw ladder.  Which server serves the next leaf is not known in
-  advance, so each server gets a chunked pre-drawn buffer; when any
-  server runs dry (or an output buffer fills) the kernel *ejects* back
-  to Python, the driver refills/grows, and re-enters — the same
-  ``while not done`` resume contract as the engine adapter.  Chunked
-  pre-drawing consumes each server stream in the same order as the
-  scalar loop, so waits/services/idles are byte-identical; the server
-  generators themselves are run-local and discarded afterwards.
-
-Ineligible configurations (non-PCG64 dispatch generators, service
-models without a stream-safe ``batch_base``, unknown balancer
-subclasses) return ``None`` with every stream untouched, leaving the
-caller on the Python reference loop.
+dispatch generator (JSQ keys, power-of-two probes and tie-breaks) and
+each server's generator (its service program) are drawn live through
+their ``bitgen_t`` handles, so every stream advances exactly as in the
+interpreted loop.  When a per-server output row or the departure heap
+could fill, the kernel *ejects*; the driver doubles the arrays and
+re-enters — the same resume contract as the engine adapter.
+Ineligible configurations return ``None`` with every stream untouched
+and the reason recorded (``fastpath.fallback.cluster.events.*``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.uarch.fastpath.build import load_kernel
-
-#: Service-time draws fetched per refill of one server's buffer.
-CHUNK = 16384
+from repro.uarch import fastpath
+from repro.uarch.fastpath.queue import bitgen, kernel_for, locked
 
 #: Initial capacity of the global departure heap (grown by doubling).
 HEAP_CAP = 1024
 
-_MASK64 = (1 << 64) - 1
-
 #: Kernel return codes (keep in sync with kernel.c).
 _DONE = 0
-_REFILL = 1
 _GROW_OUT = 2
 _GROW_HEAP = 3
 _ERR_NEGATIVE = -1
+
+_SITE = "cluster.events"
 
 
 def initial_capacity(num_requests: int, fanout: int, n_servers: int) -> int:
@@ -55,31 +39,6 @@ def initial_capacity(num_requests: int, fanout: int, n_servers: int) -> int:
     """
     expected = num_requests * fanout // max(n_servers, 1)
     return max(64, expected + max(32, expected // 8))
-
-
-def _pack_pcg(rng: np.random.Generator) -> np.ndarray:
-    state = rng.bit_generator.state
-    s = state["state"]["state"]
-    inc = state["state"]["inc"]
-    return np.array(
-        [
-            s >> 64,
-            s & _MASK64,
-            inc >> 64,
-            inc & _MASK64,
-            state["has_uint32"],
-            state["uinteger"],
-        ],
-        dtype=np.uint64,
-    )
-
-
-def _unpack_pcg(rng: np.random.Generator, words: np.ndarray) -> None:
-    state = rng.bit_generator.state
-    state["state"]["state"] = (int(words[0]) << 64) | int(words[1])
-    state["has_uint32"] = int(words[4])
-    state["uinteger"] = int(words[5])
-    rng.bit_generator.state = state
 
 
 def run_cluster_events(
@@ -94,6 +53,7 @@ def run_cluster_events(
     rngs: list[np.random.Generator],
     dispatch_rng: np.random.Generator | None,
     balancer,
+    span=None,
 ) -> tuple[np.ndarray, list[tuple]] | None:
     """Run the cluster event loop in the kernel, or ``None`` if ineligible.
 
@@ -111,26 +71,14 @@ def run_cluster_events(
     elif type(balancer) is PowerOfTwoBalancer:
         mode = 2
     else:
+        fastpath.fallback(_SITE, "balancer", span)
         return None
-    if mode != 0 and type(dispatch_rng.bit_generator) is not np.random.PCG64:
+    kernel = kernel_for(service, _SITE, span)
+    if kernel is None:
         return None
-    lib = load_kernel()
-    if lib is None:
-        return None
-    batch = getattr(service, "batch_base", None)
-    if batch is None:
-        return None
-    # Zero-length probe: commits nothing (the batch_base contract leaves
-    # the stream untouched for n == 0) but reveals eligibility and the
-    # idle-penalty parameters before any stream is consumed.
-    probe = batch(rngs[0], 0)
-    if probe is None:
-        return None
-    _, penalty, has_penalty = probe
+    lib, (ops, args) = kernel
 
     cap = initial_capacity(num_requests, fanout, n_servers)
-    svc = np.empty((n_servers, cap))
-    svc_filled = np.zeros(n_servers, dtype=np.int64)
     waits = np.empty((n_servers, cap))
     services = np.empty((n_servers, cap))
     idles = np.empty((n_servers, cap))
@@ -153,86 +101,57 @@ def run_cluster_events(
         if assign is not None
         else None
     )
-    pcg = _pack_pcg(dispatch_rng) if mode != 0 else np.zeros(6, dtype=np.uint64)
+    generators = rngs if mode == 0 else [dispatch_rng, *rngs]
+    with locked(*generators):
+        servers = np.array([bitgen(rng) for rng in rngs], dtype=np.uint64)
+        dispatch = bitgen(dispatch_rng) if mode != 0 else None
+        while True:
+            rc = lib.rfp_cluster_events(
+                epochs.ctypes.data,
+                num_requests,
+                warmup,
+                fanout,
+                n_servers,
+                mode,
+                assign_arr.ctypes.data if assign_arr is not None else None,
+                dispatch,
+                ops.ctypes.data,
+                args.ctypes.data,
+                ops.size,
+                servers.ctypes.data,
+                cap,
+                waits.ctypes.data,
+                services.ctypes.data,
+                idles.ctypes.data,
+                out_cnt.ctypes.data,
+                idle_cnt.ctypes.data,
+                warmup_cnt.ctypes.data,
+                completion.ctypes.data,
+                qlen.ctypes.data,
+                heap_t.ctypes.data,
+                heap_s.ctypes.data,
+                heap_cap,
+                sojourns.ctypes.data,
+                scratch_d.ctypes.data,
+                scratch_i.ctypes.data,
+                ctl.ctypes.data,
+            )
+            if rc == _DONE:
+                break
+            if rc == _ERR_NEGATIVE:
+                raise ValueError("service model produced a negative time")
+            if rc == _GROW_OUT:
+                waits, services, idles = (
+                    _grown(rows, 2 * cap) for rows in (waits, services, idles)
+                )
+                cap *= 2
+            elif rc == _GROW_HEAP:
+                heap_cap *= 2
+                heap_t = _grown(heap_t, heap_cap)
+                heap_s = _grown(heap_s, heap_cap)
+            else:  # pragma: no cover - kernel/driver contract violation
+                raise RuntimeError(f"unexpected cluster kernel return code {rc}")
 
-    def refill(i: int) -> None:
-        have = int(svc_filled[i])
-        want = min(cap, have + CHUNK) - have
-        base, _, _ = batch(rngs[i], want)
-        svc[i, have : have + want] = base
-        svc_filled[i] = have + want
-
-    def grow_out() -> None:
-        nonlocal cap, svc, waits, services, idles
-        new_cap = cap * 2
-        grown = []
-        for old in (svc, waits, services, idles):
-            fresh = np.empty((n_servers, new_cap))
-            fresh[:, :cap] = old
-            grown.append(fresh)
-        svc, waits, services, idles = grown
-        cap = new_cap
-
-    for i in range(n_servers):
-        refill(i)
-
-    while True:
-        rc = lib.rfp_cluster_events(
-            epochs.ctypes.data,
-            num_requests,
-            warmup,
-            fanout,
-            n_servers,
-            mode,
-            assign_arr.ctypes.data if assign_arr is not None else None,
-            pcg.ctypes.data,
-            1 if has_penalty else 0,
-            float(penalty),
-            svc.ctypes.data,
-            svc_filled.ctypes.data,
-            cap,
-            waits.ctypes.data,
-            services.ctypes.data,
-            idles.ctypes.data,
-            out_cnt.ctypes.data,
-            idle_cnt.ctypes.data,
-            warmup_cnt.ctypes.data,
-            completion.ctypes.data,
-            qlen.ctypes.data,
-            heap_t.ctypes.data,
-            heap_s.ctypes.data,
-            heap_cap,
-            sojourns.ctypes.data,
-            scratch_d.ctypes.data,
-            scratch_i.ctypes.data,
-            ctl.ctypes.data,
-        )
-        if rc == _DONE:
-            break
-        if rc == _ERR_NEGATIVE:
-            raise ValueError("service model produced a negative time")
-        if rc == _REFILL:
-            for i in range(n_servers):
-                if svc_filled[i] == out_cnt[i] and svc_filled[i] < cap:
-                    refill(i)
-                elif svc_filled[i] == cap == out_cnt[i]:
-                    # Dry *and* full: grow first, refill on re-entry.
-                    grow_out()
-                    refill(i)
-        elif rc == _GROW_OUT:
-            grow_out()
-        elif rc == _GROW_HEAP:
-            new_heap = heap_cap * 2
-            ht = np.empty(new_heap)
-            hs = np.empty(new_heap, dtype=np.int64)
-            ht[:heap_cap] = heap_t
-            hs[:heap_cap] = heap_s
-            heap_t, heap_s, heap_cap = ht, hs, new_heap
-        else:  # pragma: no cover - kernel/driver contract violation
-            raise RuntimeError(f"unexpected cluster kernel return code {rc}")
-
-    if mode != 0:
-        _unpack_pcg(dispatch_rng, pcg)
     per_server = [
         (
             waits[i, : int(out_cnt[i])].copy(),
@@ -244,3 +163,10 @@ def run_cluster_events(
         for i in range(n_servers)
     ]
     return sojourns, per_server
+
+
+def _grown(arr: np.ndarray, size: int) -> np.ndarray:
+    """``arr`` copied into a fresh array whose last axis has ``size``."""
+    fresh = np.empty(arr.shape[:-1] + (size,), dtype=arr.dtype)
+    fresh[..., : arr.shape[-1]] = arr
+    return fresh

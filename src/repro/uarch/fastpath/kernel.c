@@ -3,10 +3,11 @@
  * This is a line-for-line port of the Python reference model
  * (engine.py / slots.py / hsmt.py / caches / branch) over integer state.
  * Every float enters precomputed (REMOTE stall durations arrive as
- * per-instruction cycle counts), so there is no floating-point arithmetic
- * here at all and no possibility of numeric divergence: the kernel either
+ * per-instruction cycle counts), so the engine does no floating-point
+ * arithmetic and cannot diverge numerically: the kernel either
  * reproduces the reference byte-for-byte or the differential test suite
- * fails loudly.
+ * fails loudly.  The queueing kernels at the end of the file replay the
+ * reference loops' double operations one for one.
  *
  * The adapter (adapter.py) owns all Python-object marshalling.  A World
  * holds the C-resident state for one connected component of engines and
@@ -1786,88 +1787,6 @@ i64 rfp_fast_forward(World *w, i64 eidx, i64 cycle) {
     return RFP_OK;
 }
 
-/* -- batched M/G/1 Lindley recurrence (queueing/mg1.py port) -------------
- * Service times arrive pre-drawn (`base`); the recurrence itself runs
- * with exactly the reference loop's scalar double operations, so waits,
- * services, idle periods and the window scalars are bit-identical to the
- * Python loop.  `penalized` may be NULL when the profiler is off.
- * Returns the number of retained idle periods, or -1 when a service time
- * is negative (the caller raises the reference's ValueError). */
-i64 rfp_lindley(const double *gaps, i64 n, i64 warmup, i64 has_penalty,
-                double penalty, const double *base, double *waits,
-                double *services, double *idles, u8 *penalized,
-                double *out3) {
-    double arrival = 0.0;
-    double window_start = 0.0;
-    double backlog = 0.0;
-    i64 nidles = 0;
-    for (i64 k = 0; k < n; k++) {
-        double gap = gaps[k];
-        arrival += gap;
-        double residual = backlog - gap;
-        double wait, idle_before;
-        if (residual >= 0.0) {
-            wait = residual;
-            idle_before = 0.0;
-        } else {
-            wait = 0.0;
-            idle_before = -residual;
-            if (k > warmup) idles[nidles++] = idle_before;
-            if (penalized) penalized[k] = 1;
-        }
-        if (k == warmup) window_start = arrival;
-        double service = base[k];
-        if (has_penalty && idle_before > 0.0) service = service + penalty;
-        if (service < 0.0) return -1;
-        waits[k] = wait;
-        services[k] = service;
-        backlog = wait + service;
-    }
-    out3[0] = arrival;
-    out3[1] = backlog;
-    out3[2] = window_start;
-    return nidles;
-}
-
-/* Epoch-based Lindley variant for the cluster layer (cluster/sim.py).
- * A server inside a cluster receives leaf arrivals as absolute epochs on
- * the shared cluster clock (not inter-arrival gaps: re-accumulating
- * per-server gap diffs would not reproduce the epochs bit-for-bit), so
- * the recurrence tracks the server's completion time directly — the
- * exact scalar double operations of the cluster event loop.  `warmup` is
- * the server-local index of its first retained arrival; idle periods are
- * retained under the same `k > warmup` rule as rfp_lindley.  Returns the
- * retained-idle count, or -1 when a service time is negative; out1[0]
- * receives the server's final departure epoch. */
-i64 rfp_lindley_epochs(const double *epochs, i64 n, i64 warmup,
-                       i64 has_penalty, double penalty, const double *base,
-                       double *waits, double *services, double *idles,
-                       double *out1) {
-    double completion = 0.0;
-    i64 nidles = 0;
-    for (i64 k = 0; k < n; k++) {
-        double t = epochs[k];
-        double residual = completion - t;
-        double wait, idle_before;
-        if (residual >= 0.0) {
-            wait = residual;
-            idle_before = 0.0;
-        } else {
-            wait = 0.0;
-            idle_before = -residual;
-            if (k > warmup) idles[nidles++] = idle_before;
-        }
-        double service = base[k];
-        if (has_penalty && idle_before > 0.0) service = service + penalty;
-        if (service < 0.0) return -1;
-        waits[k] = wait;
-        services[k] = service;
-        completion = t + wait + service;
-    }
-    out1[0] = completion;
-    return nidles;
-}
-
 /* ------------------------------------------------------------ tracegen
  * Port of the per-instruction loop in workloads/tracegen.py.  All
  * randomness is pre-drawn in bulk by the Python caller (the bitstream is
@@ -2004,201 +1923,206 @@ i64 rfp_tracegen(const double *dp, const i64 *ip, const double *kind_draws,
     return RFP_OK;
 }
 
-/* ------------------------------------------------------------- PCG64
- * Minimal port of NumPy's PCG64 bit generator (the default_rng stream):
- * a 128-bit LCG with XSL-RR output, plus the exact draw ladder the
- * cluster balancers consume — raw 64-bit words, ``random()`` doubles,
- * and the buffered bounded integers behind ``Generator.choice``
- * (Lemire rejection over a 32-bit half-word buffer).  State crosses the
- * boundary as six words [state_hi, state_lo, inc_hi, inc_lo,
- * has_uint32, uinteger]: seeded from ``Generator.bit_generator.state``
- * on kernel entry and written back on exit, so the dispatch stream
- * advances identically to the interpreted path (pinned draw-for-draw by
- * tests/uarch/test_pcg64_port.py). */
+/* ============================================================== queues
+ * The M/G/1 Lindley recurrence (queueing/mg1.py), its per-server epoch
+ * twin and the cluster event loop (cluster/sim.py), built when NumPy's
+ * libnpyrandom.a is linked in (RFP_NPYRANDOM).  Each generator arrives
+ * as its `bitgen_t *`, held under its lock by the caller, and every draw
+ * calls the NumPy sampler the scalar Python draw calls, so each stream
+ * is consumed exactly as the reference loop consumes it.  distributions.h
+ * includes Python.h, so the struct and prototypes are declared here. */
+#ifdef RFP_NPYRANDOM
 
-#define RFP_PCG_MULT_HI 0x2360ed051fc65da4ULL
-#define RFP_PCG_MULT_LO 0x4385df649fccf645ULL
+#include <stdbool.h>
+
+typedef struct bitgen {
+    void *state;
+    uint64_t (*next_uint64)(void *st);
+    uint32_t (*next_uint32)(void *st);
+    double (*next_double)(void *st);
+    uint64_t (*next_raw)(void *st);
+} bitgen_t;
+
+double random_exponential(bitgen_t *bitgen_state, double scale);
+double random_uniform(bitgen_t *bitgen_state, double lower, double range);
+double random_lognormal(bitgen_t *bitgen_state, double mean, double sigma);
+double random_pareto(bitgen_t *bitgen_state, double a);
+uint64_t random_bounded_uint64(bitgen_t *bitgen_state, uint64_t off,
+                               uint64_t rng, uint64_t mask, bool use_masked);
+
+static inline double bg_double(bitgen_t *bg) {
+    return bg->next_double(bg->state);
+}
+
+/* Service programs (queueing/program.py): `service_time` as a stack
+ * machine replaying its float operations in order, two double arguments
+ * per op.  Samplers push a draw, MUL/DIV scale the top, ADD adds it into
+ * the entry below; DIVMULADD, DIVADD and ADDC fold DIV-MUL-ADD, DIV-ADD
+ * and CONST-ADD into one dispatch.  The closing START (the idle restart
+ * penalty) is split off into `start`, so the rest, the request's base
+ * time, never reads queue state.  The builder checks the depth. */
+#define PG_CONST 0
+#define PG_EXPONENTIAL 1
+#define PG_UNIFORM 2
+#define PG_LOGNORMAL 3
+#define PG_PARETO 4
+#define PG_MUL 5
+#define PG_DIV 6
+#define PG_ADD 7
+#define PG_START 8
+#define PG_DIVMULADD 9
+#define PG_DIVADD 10
+#define PG_ADDC 11
+#define PG_DEPTH 16
+#define PG_BLOCK 256 /* base times drawn ahead of a Lindley recurrence */
 
 typedef struct {
-    uint64_t shi, slo; /* 128-bit LCG state */
-    uint64_t ihi, ilo; /* 128-bit increment (odd) */
-    uint64_t has32;    /* buffered half-word present? */
-    uint64_t u32;      /* the buffered half-word */
-} rfp_pcg;
+    const i64 *ops;
+    const double *args;
+    i64 n; /* ops before the START */
+    int has_start;
+    double start;
+} Prog;
 
-static void rfp_pcg_load(rfp_pcg *g, const uint64_t *words) {
-    g->shi = words[0];
-    g->slo = words[1];
-    g->ihi = words[2];
-    g->ilo = words[3];
-    g->has32 = words[4];
-    g->u32 = words[5];
-}
-
-static void rfp_pcg_store(const rfp_pcg *g, uint64_t *words) {
-    words[0] = g->shi;
-    words[1] = g->slo;
-    words[2] = g->ihi;
-    words[3] = g->ilo;
-    words[4] = g->has32;
-    words[5] = g->u32;
-}
-
-/* Full 64x64 -> 128 product; the builtin when available, a 32-bit
- * split otherwise (the LCG step and 64-bit Lemire rejection need the
- * high word). */
-static inline uint64_t rfp_mul64wide(uint64_t a, uint64_t b, uint64_t *hi) {
-#if defined(__SIZEOF_INT128__)
-    unsigned __int128 p = (unsigned __int128)a * b;
-    *hi = (uint64_t)(p >> 64);
-    return (uint64_t)p;
-#else
-    uint64_t a_lo = (uint32_t)a, a_hi = a >> 32;
-    uint64_t b_lo = (uint32_t)b, b_hi = b >> 32;
-    uint64_t p0 = a_lo * b_lo;
-    uint64_t p1 = a_lo * b_hi;
-    uint64_t p2 = a_hi * b_lo;
-    uint64_t p3 = a_hi * b_hi;
-    uint64_t cross = (p0 >> 32) + (uint32_t)p1 + (uint32_t)p2;
-    *hi = p3 + (p1 >> 32) + (p2 >> 32) + (cross >> 32);
-    return (cross << 32) | (uint32_t)p0;
-#endif
-}
-
-static inline uint64_t rfp_pcg_next64(rfp_pcg *g) {
-    /* state = state * PCG_DEFAULT_MULTIPLIER + inc  (mod 2^128) */
-    uint64_t hi, lo;
-    lo = rfp_mul64wide(g->slo, RFP_PCG_MULT_LO, &hi);
-    hi += g->slo * RFP_PCG_MULT_HI + g->shi * RFP_PCG_MULT_LO;
-    lo += g->ilo;
-    if (lo < g->ilo) hi++;
-    hi += g->ihi;
-    g->slo = lo;
-    g->shi = hi;
-    /* XSL-RR output: rotr64(hi ^ lo, state >> 122) */
-    uint64_t v = hi ^ lo;
-    unsigned r = (unsigned)(hi >> 58);
-    return (v >> r) | (v << ((64 - r) & 63));
-}
-
-static inline uint32_t rfp_pcg_next32(rfp_pcg *g) {
-    if (g->has32) {
-        g->has32 = 0;
-        return (uint32_t)g->u32;
+static Prog prog_make(const i64 *ops, const double *args, i64 n) {
+    Prog p = {ops, args, n, 0, 0.0};
+    if (n > 0 && ops[n - 1] == PG_START) {
+        p.n = n - 1;
+        p.has_start = 1;
+        p.start = args[2 * (n - 1)];
     }
-    uint64_t n = rfp_pcg_next64(g);
-    g->has32 = 1;
-    g->u32 = n >> 32;
-    return (uint32_t)n;
+    return p;
 }
 
-static inline double rfp_pcg_double(rfp_pcg *g) {
-    /* next_double: 53 high bits / 2^53 — never touches the 32-bit buffer. */
-    return (double)(rfp_pcg_next64(g) >> 11) * (1.0 / 9007199254740992.0);
-}
-
-/* numpy's random_bounded_uint64(off=0, rng, mask=0, use_masked=0):
- * uniform integer on [0, rng] inclusive.  rng == 0 draws nothing;
- * 32-bit ranges go through the buffered Lemire path (except the
- * full 32-bit range, which is one raw half-word); the full 64-bit
- * range is one raw word; anything else is 64-bit Lemire. */
-static inline uint64_t rfp_pcg_bounded(rfp_pcg *g, uint64_t rng) {
-    if (rng == 0) return 0;
-    if (rng <= 0xffffffffULL) {
-        if (rng == 0xffffffffULL) return (uint64_t)rfp_pcg_next32(g);
-        const uint32_t rng_excl = (uint32_t)rng + 1u;
-        const uint32_t threshold = (uint32_t)((0xffffffffULL - rng) % rng_excl);
-        for (;;) {
-            uint64_t m = (uint64_t)rfp_pcg_next32(g) * rng_excl;
-            if ((uint32_t)m >= threshold) return m >> 32;
+static double prog_base(const Prog *p, bitgen_t *bg) {
+    double st[PG_DEPTH];
+    double top = 0.0;
+    int sp = 0;
+    for (i64 k = 0; k < p->n; k++) {
+        double a = p->args[2 * k], b = p->args[2 * k + 1];
+        switch (p->ops[k]) {
+        case PG_CONST: st[sp++] = top; top = a; break;
+        case PG_EXPONENTIAL:
+            st[sp++] = top; top = random_exponential(bg, a); break;
+        case PG_UNIFORM: st[sp++] = top; top = random_uniform(bg, a, b); break;
+        case PG_LOGNORMAL:
+            st[sp++] = top; top = random_lognormal(bg, a, b); break;
+        case PG_PARETO: st[sp++] = top; top = a * random_pareto(bg, b); break;
+        case PG_MUL: top = top * a; break;
+        case PG_DIV: top = top / a; break;
+        case PG_ADD: top = st[--sp] + top; break;
+        case PG_DIVMULADD: top = st[--sp] + (top / a) * b; break;
+        case PG_DIVADD: top = st[--sp] + top / a; break;
+        case PG_ADDC: top = top + a; break;
         }
     }
-    if (rng == 0xffffffffffffffffULL) return rfp_pcg_next64(g);
-    const uint64_t rng_excl = rng + 1;
-    const uint64_t threshold = (0xffffffffffffffffULL - rng) % rng_excl;
-    for (;;) {
-        uint64_t m_hi;
-        uint64_t m_lo = rfp_mul64wide(rfp_pcg_next64(g), rng_excl, &m_hi);
-        if (m_lo >= threshold) return m_hi;
-    }
+    return top;
 }
 
-/* Generator.choice(pop, size=2, replace=False) for pop >= 3: Floyd's
- * algorithm over a 4-slot open-addressing hash set (numpy sizes the set
- * from int(1.2 * 2) == 2 picks, giving mask 3), then the closing
- * Fisher-Yates pass, which for two picks is a single bounded(1) swap
- * draw.  Exactly numpy's draw sequence, collisions included. */
-static void rfp_pcg_choice2(rfp_pcg *g, i64 pop, i64 *out) {
-    uint64_t hval[4];
-    int hused[4] = {0, 0, 0, 0};
-    i64 idx[2];
-    for (i64 j = pop - 2; j < pop; j++) {
-        uint64_t val = rfp_pcg_bounded(g, (uint64_t)j);
-        uint64_t loc = val & 3u;
-        while (hused[loc] && hval[loc] != val) loc = (loc + 1) & 3u;
-        if (!hused[loc]) {
-            hused[loc] = 1;
-            hval[loc] = val;
-            idx[j - (pop - 2)] = (i64)val;
+static inline double prog_service(const Prog *p, double base,
+                                  double idle_before) {
+    return p->has_start && idle_before > 0.0 ? base + p->start : base;
+}
+
+/* A Lindley kernel's next block of base times, drawn ahead of its
+ * recurrence: the same draws in the same order, in a tight loop. */
+static void prog_block(const Prog *p, bitgen_t *bg, i64 k, i64 n,
+                       double *base) {
+    i64 m = n - k < PG_BLOCK ? n - k : PG_BLOCK;
+    for (i64 j = 0; j < m; j++) base[j] = prog_base(p, bg);
+}
+
+/* M/G/1 Lindley recurrence over inter-arrival `gaps`, service times
+ * drawn live from `bg`.  `penalized` may be NULL when the profiler is
+ * off.  Returns the number of retained idle periods, or -1 when a
+ * service time is negative (the caller raises the reference's
+ * ValueError). */
+i64 rfp_lindley(const double *gaps, i64 n, i64 warmup, const i64 *ops,
+                const double *args, i64 nops, bitgen_t *bg, double *waits,
+                double *services, double *idles, u8 *penalized,
+                double *out3) {
+    Prog prog = prog_make(ops, args, nops);
+    double base[PG_BLOCK];
+    double arrival = 0.0;
+    double window_start = 0.0;
+    double backlog = 0.0;
+    i64 nidles = 0;
+    for (i64 k = 0; k < n; k++) {
+        if (k % PG_BLOCK == 0) prog_block(&prog, bg, k, n, base);
+        double gap = gaps[k];
+        arrival += gap;
+        double residual = backlog - gap;
+        double wait, idle_before;
+        if (residual >= 0.0) {
+            wait = residual;
+            idle_before = 0.0;
         } else {
-            loc = (uint64_t)j & 3u;
-            while (hused[loc]) loc = (loc + 1) & 3u;
-            hused[loc] = 1;
-            hval[loc] = (uint64_t)j;
-            idx[j - (pop - 2)] = j;
+            wait = 0.0;
+            idle_before = -residual;
+            if (k > warmup) idles[nidles++] = idle_before;
+            if (penalized) penalized[k] = 1;
         }
+        if (k == warmup) window_start = arrival;
+        double service =
+            prog_service(&prog, base[k % PG_BLOCK], idle_before);
+        if (service < 0.0) return -1;
+        waits[k] = wait;
+        services[k] = service;
+        backlog = wait + service;
     }
-    uint64_t jswap = rfp_pcg_bounded(g, 1);
-    i64 tmp = idx[1];
-    idx[1] = idx[jswap];
-    idx[jswap] = tmp;
-    out[0] = idx[0];
-    out[1] = idx[1];
+    out3[0] = arrival;
+    out3[1] = backlog;
+    out3[2] = window_start;
+    return nidles;
 }
 
-/* Test entry points: drive the generator standalone so the differential
- * suite can pin every draw kind against numpy.  `words` is the 6-word
- * state block, updated in place. */
-void rfp_pcg64_raw(uint64_t *words, i64 n, uint64_t *out) {
-    rfp_pcg g;
-    rfp_pcg_load(&g, words);
-    for (i64 i = 0; i < n; i++) out[i] = rfp_pcg_next64(&g);
-    rfp_pcg_store(&g, words);
-}
-
-void rfp_pcg64_doubles(uint64_t *words, i64 n, double *out) {
-    rfp_pcg g;
-    rfp_pcg_load(&g, words);
-    for (i64 i = 0; i < n; i++) out[i] = rfp_pcg_double(&g);
-    rfp_pcg_store(&g, words);
-}
-
-void rfp_pcg64_bounded(uint64_t *words, i64 n, const uint64_t *rng_incl,
-                       uint64_t *out) {
-    rfp_pcg g;
-    rfp_pcg_load(&g, words);
-    for (i64 i = 0; i < n; i++) out[i] = rfp_pcg_bounded(&g, rng_incl[i]);
-    rfp_pcg_store(&g, words);
-}
-
-void rfp_pcg64_choice2(uint64_t *words, i64 pop, i64 *out) {
-    rfp_pcg g;
-    rfp_pcg_load(&g, words);
-    rfp_pcg_choice2(&g, pop, out);
-    rfp_pcg_store(&g, words);
+/* Epoch-based Lindley variant for one server of a cluster.  A server
+ * receives leaf arrivals as absolute epochs on the shared cluster clock
+ * (re-accumulating per-server gap diffs would not reproduce the epochs
+ * bit-for-bit), so the recurrence tracks the server's completion time
+ * directly.  `warmup` is the server-local index of its first retained
+ * arrival; idle periods are retained under the same `k > warmup` rule
+ * as rfp_lindley.  Returns the retained-idle count, or -1 when a
+ * service time is negative; out1[0] receives the final departure. */
+i64 rfp_lindley_epochs(const double *epochs, i64 n, i64 warmup,
+                       const i64 *ops, const double *args, i64 nops,
+                       bitgen_t *bg, double *waits, double *services,
+                       double *idles, double *out1) {
+    Prog prog = prog_make(ops, args, nops);
+    double base[PG_BLOCK];
+    double completion = 0.0;
+    i64 nidles = 0;
+    for (i64 k = 0; k < n; k++) {
+        if (k % PG_BLOCK == 0) prog_block(&prog, bg, k, n, base);
+        double t = epochs[k];
+        double residual = completion - t;
+        double wait, idle_before;
+        if (residual >= 0.0) {
+            wait = residual;
+            idle_before = 0.0;
+        } else {
+            wait = 0.0;
+            idle_before = -residual;
+            if (k > warmup) idles[nidles++] = idle_before;
+        }
+        double service =
+            prog_service(&prog, base[k % PG_BLOCK], idle_before);
+        if (service < 0.0) return -1;
+        waits[k] = wait;
+        services[k] = service;
+        completion = t + wait + service;
+    }
+    out1[0] = completion;
+    return nidles;
 }
 
 /* ---------------------------------------------- cluster event loop
  * Port of ClusterSimulator._run_event_loop (cluster/sim.py): the
- * global-order executor for state-dependent balancers.  Selection
- * consumes the dispatch PCG64 stream live; service times arrive
- * pre-drawn per server (the batch_base ladder) and the driver refills
- * them chunk-wise when the kernel ejects.  All queueing arithmetic is
- * the reference loop's scalar double ops, so results are byte-identical.
- */
+ * global-order executor for state-dependent balancers.  Selection draws
+ * from the dispatch generator and each leaf's service time from its
+ * server's generator, both live. */
 
 #define RFPC_DONE 0
-#define RFPC_REFILL 1
 #define RFPC_GROW_OUT 2
 #define RFPC_GROW_HEAP 3
 #define RFPC_ERR_NEGATIVE (-1)
@@ -2241,9 +2165,9 @@ static inline void rfpc_heap_pop(double *ht, i64 *hs, i64 *size) {
  * ordered by (queue length, random key, index).  The reference always
  * draws all n_servers keys; so does this.  `keys` is n_servers scratch,
  * `sel` holds the chosen servers in rank order. */
-static void rfpc_jsq_select(rfp_pcg *g, i64 n_servers, i64 fanout,
+static void rfpc_jsq_select(bitgen_t *g, i64 n_servers, i64 fanout,
                             const i64 *qlen, double *keys, i64 *sel) {
-    for (i64 s = 0; s < n_servers; s++) keys[s] = rfp_pcg_double(g);
+    for (i64 s = 0; s < n_servers; s++) keys[s] = bg_double(g);
     i64 cnt = 0;
     for (i64 s = 0; s < n_servers; s++) {
         i64 pos = cnt;
@@ -2262,6 +2186,39 @@ static void rfpc_jsq_select(rfp_pcg *g, i64 n_servers, i64 fanout,
     }
 }
 
+/* Generator.choice(pop, size=2, replace=False) for pop >= 3: Floyd's
+ * algorithm over a 4-slot open-addressing hash set (numpy sizes the set
+ * from int(1.2 * 2) == 2 picks, giving mask 3), then the closing
+ * Fisher-Yates pass, which for two picks is a single bounded(1) swap
+ * draw.  Exactly numpy's draw sequence, collisions included. */
+static void rfpc_choice2(bitgen_t *g, i64 pop, i64 *out) {
+    uint64_t hval[4];
+    int hused[4] = {0, 0, 0, 0};
+    i64 idx[2];
+    for (i64 j = pop - 2; j < pop; j++) {
+        uint64_t val = random_bounded_uint64(g, 0, (uint64_t)j, 0, false);
+        uint64_t loc = val & 3u;
+        while (hused[loc] && hval[loc] != val) loc = (loc + 1) & 3u;
+        if (!hused[loc]) {
+            hused[loc] = 1;
+            hval[loc] = val;
+            idx[j - (pop - 2)] = (i64)val;
+        } else {
+            loc = (uint64_t)j & 3u;
+            while (hused[loc]) loc = (loc + 1) & 3u;
+            hused[loc] = 1;
+            hval[loc] = (uint64_t)j;
+            idx[j - (pop - 2)] = j;
+        }
+    }
+    uint64_t jswap = random_bounded_uint64(g, 0, 1, 0, false);
+    i64 tmp = idx[1];
+    idx[1] = idx[jswap];
+    idx[jswap] = tmp;
+    out[0] = idx[0];
+    out[1] = idx[1];
+}
+
 /* The k-th smallest server index not yet chosen this request; `removed`
  * is the sorted chosen list (the C twin of
  * PowerOfTwoBalancer._nth_available). */
@@ -2277,7 +2234,7 @@ static inline i64 rfpc_nth_available(i64 k, const i64 *removed, i64 nrem) {
  * Generator.choice (Floyd + swap), comparison by queue length with a
  * fresh double deciding ties — the exact draw order of
  * PowerOfTwoBalancer.select.  `removed` is fanout scratch. */
-static void rfpc_p2c_select(rfp_pcg *g, i64 n_servers, i64 fanout,
+static void rfpc_p2c_select(bitgen_t *g, i64 n_servers, i64 fanout,
                             const i64 *qlen, i64 *sel, i64 *removed) {
     i64 nrem = 0;
     for (i64 i = 0; i < fanout; i++) {
@@ -2290,7 +2247,7 @@ static void rfpc_p2c_select(rfp_pcg *g, i64 n_servers, i64 fanout,
                 probes[k] = rfpc_nth_available(k, removed, nrem);
         } else {
             i64 picks[2];
-            rfp_pcg_choice2(g, m, picks);
+            rfpc_choice2(g, m, picks);
             probes[0] = rfpc_nth_available(picks[0], removed, nrem);
             probes[1] = rfpc_nth_available(picks[1], removed, nrem);
             nprobes = 2;
@@ -2299,7 +2256,7 @@ static void rfpc_p2c_select(rfp_pcg *g, i64 n_servers, i64 fanout,
         for (i64 c = 1; c < nprobes; c++) {
             i64 cand = probes[c];
             if (qlen[cand] < qlen[best] ||
-                (qlen[cand] == qlen[best] && rfp_pcg_double(g) < 0.5))
+                (qlen[cand] == qlen[best] && bg_double(g) < 0.5))
                 best = cand;
         }
         sel[i] = best;
@@ -2313,22 +2270,21 @@ static void rfpc_p2c_select(rfp_pcg *g, i64 n_servers, i64 fanout,
 }
 
 /* One cluster event-loop run (resumable).  mode: 0 = precomputed
- * assignment matrix, 1 = JSQ, 2 = power-of-two.  Per-server outputs are
- * row-major [n_servers, cap]; `svc` holds pre-drawn base service times
- * with `svc_filled[s]` valid entries, `out_cnt[s]` of them consumed (so
- * out_cnt doubles as each server's leaf count).  `ctl` carries
- * [next request index, heap size] across ejects; the driver re-enters
- * with the same arrays (grown or refilled) until RFPC_DONE.  The
- * eject check is amortized: before each slice the kernel computes how
- * many whole requests are guaranteed to fit (every request consumes at
- * most one service draw + one output slot per chosen server and fanout
- * heap slots) and ejects when that budget is zero. */
+ * assignment matrix, 1 = JSQ, 2 = power-of-two (drawing from
+ * `dispatch`, NULL in mode 0).  Server s draws its service times from
+ * `servers[s]`.  Per-server outputs are row-major [n_servers, cap] with
+ * `out_cnt[s]` entries (each server's leaf count so far).  `ctl`
+ * carries [next request index, heap size] across ejects: when a server
+ * row or the heap could fill, the kernel returns RFPC_GROW_OUT or
+ * RFPC_GROW_HEAP and the driver re-enters with the arrays grown.  The
+ * check is amortized: before each slice the kernel computes how many
+ * whole requests are guaranteed to fit (a request takes at most one
+ * output slot per server and `fanout` heap slots). */
 i64 rfp_cluster_events(const double *restrict epochs, i64 n, i64 warmup,
                        i64 fanout, i64 n_servers, i64 mode,
-                       const i64 *restrict assign, uint64_t *pcg_words,
-                       i64 has_penalty, double penalty,
-                       const double *restrict svc,
-                       const i64 *restrict svc_filled, i64 cap,
+                       const i64 *restrict assign, bitgen_t *dispatch,
+                       const i64 *ops, const double *args, i64 nops,
+                       bitgen_t *const *servers, i64 cap,
                        double *restrict waits, double *restrict services,
                        double *restrict idles, i64 *restrict out_cnt,
                        i64 *restrict idle_cnt, i64 *restrict warmup_cnt,
@@ -2337,8 +2293,7 @@ i64 rfp_cluster_events(const double *restrict epochs, i64 n, i64 warmup,
                        i64 heap_cap, double *restrict sojourns,
                        double *restrict scratch_d, i64 *restrict scratch_i,
                        i64 *ctl) {
-    rfp_pcg g;
-    if (mode != 0) rfp_pcg_load(&g, pcg_words);
+    Prog prog = prog_make(ops, args, nops);
     i64 j = ctl[0];
     i64 heap_size = ctl[1];
     i64 *sel = scratch_i;             /* fanout */
@@ -2352,11 +2307,6 @@ i64 rfp_cluster_events(const double *restrict epochs, i64 n, i64 warmup,
             if (room < budget) {
                 budget = room;
                 reason = RFPC_GROW_OUT;
-            }
-            i64 avail = svc_filled[s] - out_cnt[s];
-            if (avail < budget) {
-                budget = avail;
-                reason = RFPC_REFILL;
             }
         }
         if (budget <= 0) {
@@ -2375,10 +2325,12 @@ i64 rfp_cluster_events(const double *restrict epochs, i64 n, i64 warmup,
             if (mode == 0) {
                 chosen = assign + j * fanout;
             } else if (mode == 1) {
-                rfpc_jsq_select(&g, n_servers, fanout, qlen, scratch_d, sel);
+                rfpc_jsq_select(dispatch, n_servers, fanout, qlen, scratch_d,
+                                sel);
                 chosen = sel;
             } else {
-                rfpc_p2c_select(&g, n_servers, fanout, qlen, sel, removed);
+                rfpc_p2c_select(dispatch, n_servers, fanout, qlen, sel,
+                                removed);
                 chosen = sel;
             }
             int retained = j >= warmup;
@@ -2397,11 +2349,9 @@ i64 rfp_cluster_events(const double *restrict epochs, i64 n, i64 warmup,
                     if (retained && out_cnt[i] > warmup_cnt[i])
                         idles[i * cap + idle_cnt[i]++] = idle_before;
                 }
-                double service = svc[slot];
-                if (has_penalty && idle_before > 0.0)
-                    service = service + penalty;
+                double service = prog_service(
+                    &prog, prog_base(&prog, servers[i]), idle_before);
                 if (service < 0.0) {
-                    if (mode != 0) rfp_pcg_store(&g, pcg_words);
                     ctl[0] = j;
                     ctl[1] = heap_size;
                     return RFPC_ERR_NEGATIVE;
@@ -2420,8 +2370,9 @@ i64 rfp_cluster_events(const double *restrict epochs, i64 n, i64 warmup,
             sojourns[j] = worst;
         }
     }
-    if (mode != 0) rfp_pcg_store(&g, pcg_words);
     ctl[0] = j;
     ctl[1] = heap_size;
     return rc;
 }
+
+#endif /* RFP_NPYRANDOM */

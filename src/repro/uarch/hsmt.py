@@ -25,6 +25,7 @@ authority first if needed).
 from __future__ import annotations
 
 import heapq
+import weakref
 from collections import deque
 
 from repro import prof
@@ -47,7 +48,9 @@ class HSMTScheduler:
             raise ValueError("need at least one physical context")
         if swap_cycles < 0:
             raise ValueError("swap cost cannot be negative")
-        self.engine = engine
+        # Weak: the engine owns its scheduler, so dropping the engine
+        # frees both (and its kernel world) without the cyclic collector.
+        self._engine = weakref.ref(engine)
         self.physical_contexts = physical_contexts
         self.swap_cycles = swap_cycles
         self.quantum_cycles = quantum_cycles
@@ -58,6 +61,10 @@ class HSMTScheduler:
         self.swaps = 0
         self.preemptions = 0
         engine.scheduler = self
+
+    @property
+    def engine(self) -> TimingEngine:
+        return self._engine()
 
     # -- context management -----------------------------------------------
 

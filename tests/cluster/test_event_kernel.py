@@ -1,9 +1,9 @@
 """The compiled cluster event loop: byte-identity with the Python
-reference, stream end-state, eject/refill/growth paths, and the
+reference, stream end-state, the eject/growth paths, and the
 eligibility ladder (spy tests proving when the kernel must NOT bind).
+Randomized configurations are in
+``tests/uarch/test_queue_kernel_differential.py``.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -12,7 +12,7 @@ from repro.cluster import sim as sim_module
 from repro.cluster import tailobs
 from repro.cluster.arrivals import MMPPArrivals, PoissonArrivals
 from repro.cluster.sim import DISPATCH_STREAM, ClusterSimulator
-from repro.common.distributions import Distribution, Exponential
+from repro.common.distributions import Deterministic, Distribution, Exponential
 from repro.common.rng import SeedSequenceFactory
 from repro.queueing.mg1 import RestartPenaltyService
 from repro.uarch import fastpath
@@ -96,9 +96,9 @@ class TestKernelByteIdentity:
 
     @pytest.mark.parametrize("balancer", ["jsq", "power_of_two"])
     def test_dispatch_stream_end_state_identical(self, balancer, monkeypatch):
-        """The kernel's written-back PCG64 state equals the state the
-        interpreted loop leaves behind — the dispatch stream advances
-        identically (has_uint32/uinteger buffer included)."""
+        """The kernel draws the dispatch stream live through its
+        ``bitgen_t``, leaving the state the interpreted loop leaves
+        behind (has_uint32/uinteger buffer included)."""
         captured = []
 
         class Recording(SeedSequenceFactory):
@@ -138,9 +138,9 @@ class TestKernelByteIdentity:
         assert_results_identical(vectorized, event)
 
     def test_refill_and_growth_paths_stay_identical(self, monkeypatch):
-        """Tiny buffers force every eject path — service refills, output
-        doubling, heap doubling — without changing a single byte."""
-        monkeypatch.setattr(fp_cluster, "CHUNK", 3)
+        """Tiny buffers force every eject path — output doubling, heap
+        doubling — without changing a single byte (service times are
+        drawn live, so there is nothing to refill)."""
         monkeypatch.setattr(fp_cluster, "HEAP_CAP", 2)
         monkeypatch.setattr(
             fp_cluster, "initial_capacity", lambda n, f, s: 4
@@ -157,19 +157,12 @@ class TestKernelByteIdentity:
         assert_results_identical(compiled, reference)
 
     def test_negative_service_raises_like_the_reference(self):
-        @dataclass(frozen=True)
-        class NegativeService:
-            def service_time(self, rng, idle_before):
-                return -1.0
-
-            def mean_service_time(self):
-                return 1.0
-
-            def batch_base(self, rng, n):
-                return np.full(n, -1.0), 0.0, False
-
+        # Validation forbids negative values; bypass it so the kernel's
+        # own check is what fires.
+        negative = Deterministic(1.0)
+        object.__setattr__(negative, "value", -1.0)
         sim = ClusterSimulator(
-            PoissonArrivals(1000.0), NegativeService(), n_servers=3,
+            PoissonArrivals(1000.0), negative, n_servers=3,
             fanout=2, balancer="jsq", seed=5,
         )
         fastpath.set_mode("on")
@@ -222,8 +215,9 @@ class TestEligibilityLadder:
 
     @needs_kernel
     def test_non_stream_safe_service_falls_back(self, monkeypatch):
-        """A service model outside the stream-safe whitelist makes the
-        driver return None with every stream untouched; the Python loop
+        """A service model without a program (here a Distribution
+        subclass the program builder does not know) makes the driver
+        return None with every stream untouched; the Python loop
         produces the result."""
 
         class TwoDraw(Distribution):

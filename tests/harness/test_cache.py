@@ -130,6 +130,48 @@ class TestEviction:
         assert store.entry_count() == 10
         assert store.stats.evictions == 0
 
+    def test_evicts_at_the_same_writes_in_the_same_order(self, tmp_path):
+        """The byte count only decides when to scan: each write evicts
+        exactly what a scan after every write (the rule it replaced)
+        evicts, oldest first, at the same write."""
+        import os
+
+        store = DiskCache(tmp_path, max_bytes=700)
+        keys = [store.key("tail", rate=float(i)) for i in range(30)]
+        sizes: dict[str, int] = {}
+        live: list[str] = []  # oldest first
+        for i, key in enumerate(keys):
+            # Payloads of varying size, so evictions free uneven amounts.
+            value = [float(i)] * (1 + i % 7)
+            store.put(key, value)
+            # Older entries get strictly increasing fake mtimes, all
+            # earlier than the write just made.
+            os.utime(store.path_for(key), (i, i))
+            sizes[key] = store.path_for(key).stat().st_size
+            live.append(key)
+            expected_evicted = []
+            while sum(sizes[k] for k in live) > 700:
+                expected_evicted.append(live.pop(0))
+            on_disk = [k for k in keys[: i + 1] if store.path_for(k).exists()]
+            assert on_disk == live, f"write {i}"
+        assert store.stats.evictions == len(keys) - len(live)
+
+    def test_writes_under_the_bound_scan_once(self, tmp_path, monkeypatch):
+        scans = []
+        original = DiskCache._entries
+
+        def counting(self):
+            scans.append(self)
+            return original(self)
+
+        monkeypatch.setattr(DiskCache, "_entries", counting)
+        first, second = DiskCache(tmp_path), DiskCache(tmp_path)
+        for i in range(40):
+            store = first if i % 2 else second
+            store.put(store.key("tail", rate=float(i)), float(i))
+        assert scans.count(first) == 1 and scans.count(second) == 1
+        assert first.stats.evictions == second.stats.evictions == 0
+
 
 class TestConcurrency:
     def test_concurrent_writers_never_corrupt(self, tmp_path):

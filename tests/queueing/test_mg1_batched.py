@@ -1,12 +1,13 @@
-"""Batched M/G/1 fast path vs the scalar reference loop.
+"""Compiled M/G/1 recurrence vs the scalar reference loop.
 
-The batched ``_run`` pre-draws service times in bulk (on the exact same
-generator stream the scalar loop would consume) and runs the Lindley
-recurrence in the compiled kernel.  Its contract is bit identity: every
-``QueueResult`` field — wait/service arrays, idle periods, busy time,
-window duration — must equal the scalar loop's, for every eligible
-service model, and ineligible models must fall back without perturbing
-the stream.
+With the fastpath on, ``_run`` hands the service model's program and the
+run's generator to the compiled kernel, which draws every service time
+live from the same stream the scalar loop would consume.  Its contract
+is bit identity: every ``QueueResult`` field — wait/service arrays, idle
+periods, busy time, window duration — must equal the scalar loop's, for
+every service model with a program, and models without one must fall
+back to the loop.  Randomized programs are in
+``tests/uarch/test_queue_kernel_differential.py``.
 """
 
 import dataclasses
@@ -24,21 +25,26 @@ from repro.common.distributions import (
     ScaledDistribution,
     SumDistribution,
     Uniform,
-    draws_per_sample,
     is_stream_safe,
 )
 from repro.harness.metrics import DesignServiceModel
+from repro.queueing import program
 from repro.queueing.mg1 import (
     DistributionService,
     MG1Simulator,
     RestartPenaltyService,
 )
+from repro.queueing.program import program_of
 from repro.uarch import fastpath
 from repro.workloads import microservices as ms
 
 pytestmark = pytest.mark.skipif(
     not fastpath.is_available(), reason="no C compiler for the fastpath kernel"
 )
+
+SAMPLER_OPS = [
+    program.EXPONENTIAL, program.UNIFORM, program.LOGNORMAL, program.PARETO
+]
 
 
 @pytest.fixture(autouse=True)
@@ -104,7 +110,7 @@ def test_restart_penalty_identical(penalty, seed):
 
 
 @pytest.mark.parametrize(
-    "workload,eligible",
+    "workload,single_draw",
     [
         ("wordstem", True),  # single LogNormal phase, no stall draw
         ("flann_ha", False),  # compute + stall draws interleave per request
@@ -112,22 +118,18 @@ def test_restart_penalty_identical(penalty, seed):
         ("mcrouter", False),
     ],
 )
-def test_design_service_model(workload, eligible):
+def test_design_service_model(workload, single_draw):
+    """Every standard workload runs in the kernel, the multi-draw ones
+    (two or three samplers per request) included."""
     service = DesignServiceModel(
         getattr(ms, workload)(),
         slowdown=1.3,
         per_stall_penalty_s=1e-8,
         start_penalty_s=3e-8,
     )
-    rng = np.random.default_rng(0)
-    state_before = rng.bit_generator.state
-    decomposed = service.batch_base(rng, 16)
-    if eligible:
-        assert decomposed is not None
-    else:
-        # Ineligible: returns None with the generator untouched.
-        assert decomposed is None
-        assert rng.bit_generator.state == state_before
+    ops, _ = program_of(service)
+    draws = int(np.isin(ops, SAMPLER_OPS).sum())
+    assert (draws == 1) == single_draw
     ref, fast = run_both(
         lambda: MG1Simulator.at_load(0.7, service, seed=11), 20_000, 2_000
     )
@@ -135,10 +137,8 @@ def test_design_service_model(workload, eligible):
 
 
 def test_design_multiphase_with_deterministic_terms():
-    """Constant phases (Deterministic compute/stall) consume no draws, so
-    a multi-phase workload with exactly one random term stays eligible;
-    the constant terms fold into the base in the scalar loop's addition
-    order."""
+    """Constant phases (Deterministic compute/stall) consume no draws;
+    the program adds them in the scalar loop's order."""
     workload = ms.Microservice(
         name="synthetic",
         phases=(
@@ -151,26 +151,11 @@ def test_design_multiphase_with_deterministic_terms():
     service = DesignServiceModel(
         workload, slowdown=1.2, per_stall_penalty_s=1e-8, start_penalty_s=3e-8
     )
-    assert service.batch_base(np.random.default_rng(0), 8) is not None
+    assert program_of(service) is not None
     ref, fast = run_both(
         lambda: MG1Simulator.at_load(0.6, service, seed=21), 20_000, 2_000
     )
     assert_identical(ref, fast)
-
-
-def test_batch_base_consumes_stream_exactly():
-    """On success, batch_base advances the generator exactly as n
-    sequential service_time calls would."""
-    for service in (
-        DistributionService(LogNormal(2e-6, 1.0)),
-        RestartPenaltyService(Exponential(2e-6), 5e-7),
-        DesignServiceModel(ms.wordstem(), 1.3, start_penalty_s=3e-8),
-    ):
-        r1, r2 = np.random.default_rng(9), np.random.default_rng(9)
-        service.batch_base(r1, 777)
-        for _ in range(777):
-            service.service_time(r2, 0.0)
-        assert r1.bit_generator.state == r2.bit_generator.state
 
 
 @pytest.mark.parametrize(
@@ -195,19 +180,15 @@ def test_stream_unsafe_compositions_excluded():
     mix = Mixture((Exponential(1e-6), Exponential(3e-6)), (0.5, 0.5))
     assert not is_stream_safe(combo)
     assert not is_stream_safe(mix)
-    # ...and simulations over them still agree (both legs scalar).
+    # ...and simulations over them still agree (the sum runs in the
+    # kernel, the mixture has no program and stays on the loop).
+    assert program_of(DistributionService(combo)) is not None
+    assert program_of(DistributionService(mix)) is None
     for service in (combo, mix):
         ref, fast = run_both(
             lambda: MG1Simulator.at_load(0.5, service, seed=2), 5_000, 500
         )
         assert_identical(ref, fast)
-
-
-def test_draws_per_sample():
-    assert draws_per_sample(Deterministic(1e-6)) == 0
-    assert draws_per_sample(ScaledDistribution(Deterministic(1e-6), 2.0)) == 0
-    assert draws_per_sample(Exponential(1e-6)) == 1
-    assert draws_per_sample(ScaledDistribution(LogNormal(1e-6, 1.0), 2.0)) == 1
 
 
 @pytest.mark.parametrize(
@@ -278,41 +259,34 @@ def test_profiled_run_identical():
 
 
 def test_negative_service_raises_either_way():
-    class NegativeService:
-        def service_time(self, rng, idle_before):
-            return -1.0
-
-        def mean_service_time(self):
-            return 1e-6
-
-        def batch_base(self, rng, n):
-            return np.full(n, -1.0), 0.0, False
-
+    # Validation forbids negative values; bypass it so the kernel's own
+    # check fires on the compiled leg.
+    negative = Deterministic(1.0)
+    object.__setattr__(negative, "value", -1.0)
     for mode in ("off", "on"):
         fastpath.set_mode(mode)
-        sim = MG1Simulator(arrival_rate=1e5, service=NegativeService(), seed=0)
+        sim = MG1Simulator(arrival_rate=1e5, service=negative, seed=0)
         with pytest.raises(ValueError, match="negative"):
             sim.run(100)
 
 
 def test_off_mode_never_batches():
-    """REPRO_FASTPATH=off must not even construct the batched path."""
+    """REPRO_FASTPATH=off must not even ask the model for its program."""
     called = []
 
-    class SpyService:
-        def service_time(self, rng, idle_before):
-            return 2e-6
-
-        def mean_service_time(self):
-            return 2e-6
-
-        def batch_base(self, rng, n):
-            called.append(n)
-            return np.full(n, 2e-6), 0.0, False
+    @dataclasses.dataclass(frozen=True)
+    class SpyService(DistributionService):
+        def program(self):
+            called.append(True)
+            return super().program()
 
     fastpath.set_mode("off")
-    MG1Simulator.at_load(0.7, SpyService(), seed=3).run(1_000, 100)
+    MG1Simulator.at_load(0.7, SpyService(Exponential(2e-6)), seed=3).run(
+        1_000, 100
+    )
     assert not called
     fastpath.set_mode("on")
-    MG1Simulator.at_load(0.7, SpyService(), seed=3).run(1_000, 100)
-    assert called == [1_000]
+    MG1Simulator.at_load(0.7, SpyService(Exponential(2e-6)), seed=3).run(
+        1_000, 100
+    )
+    assert called == [True]
